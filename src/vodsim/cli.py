@@ -26,6 +26,13 @@ def _parse_capacity(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def load_config_file(path) -> dict:
     """Flat key = value document mirroring SimConfig field names."""
     out = {}
@@ -110,6 +117,14 @@ def _write_rows(rows, fmt: str, out_path):
 
 def _experiment_rows(args, config, model, rho_values):
     """One (strategy, rho, report) row per requested combination."""
+    if args.trace is None:
+        if args.target_fraction is not None:
+            raise ValueError("--target-fraction caps a trace run; it needs --trace")
+        if math.isinf(config.server_capacity):
+            raise ValueError(
+                "Poisson arrivals need a finite --capacity: rho is a share of it "
+                "(use --trace for an unlimited-capacity run)"
+            )
     rows = []
     last_result = None
     for rho in rho_values:
@@ -291,7 +306,7 @@ def main(argv=None) -> int:
         p.add_argument("--bitrate", type=float, default=None)
         p.add_argument("--video-length", dest="video_length", type=int, default=None)
         p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--repetitions", type=int, default=1)
+        p.add_argument("--repetitions", type=_positive_int, default=1)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--ledger-out", default=None,

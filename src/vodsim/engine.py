@@ -1,10 +1,20 @@
 """Slot-loop simulation engine.
 
 Each slot runs, in order: arrivals, rate allocation, download, playback and
-freeze-state transitions, departures, accounting.  Sessions are kept in
-struct-of-arrays form so a heavy-load run with ~1000 concurrent viewers stays
-fast; a run is strictly sequential and deterministic given its seed (one RNG
-substream feeds arrivals, another the departure-time draws).
+freeze-state transitions, departures, accounting.  A run is strictly
+sequential and deterministic given its seed (one RNG substream feeds
+arrivals, another the departure-time draws).
+
+Active sessions live in a columnar slab of three preallocated blocks that
+grow geometrically: a float block (buffer, downloaded, skipped), an int64
+block (arrival, target, playback, freeze_count, freeze_time) and an int8
+state column.  Rows [0, n) are the n active sessions, oldest arrival first.
+Admission writes the rows after them; playback and freeze updates are
+whole-column arithmetic over the first n rows.  A departure appends the
+departing rows to the `SessionLog` and compacts each block with one gather
+that keeps the surviving rows in their relative order.  That order must stay
+stable: it is the allocators' tie order and the order of the float sums, so
+any reordering changes the output bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 
 from .arrivals import ArrivalProcess
 from .behavior import DepartureModel
-from .metrics import MetricsReport, SessionRecord, aggregate
+from .metrics import MetricsReport, SessionLog, aggregate
 from .strategy import PoolState, make_allocator
 
 STARTUP, PLAYING, FROZEN = 0, 1, 2
@@ -41,17 +51,17 @@ class SimConfig:
     warmup: int | None = None        # slots excluded from metrics; default 2 * video_length
 
     def validate(self) -> None:
-        if self.bitrate <= 0 or self.access_cap <= 0:
-            raise ValueError("bitrate and access_cap must be positive")
+        # Comparisons are written so that NaN fails them.
+        for name in ("bitrate", "access_cap", "server_capacity",
+                     "startup_threshold", "rebuffer_threshold"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.video_length < 1:
             raise ValueError("video_length must be positive")
-        if self.server_capacity <= 0:
-            raise ValueError("server_capacity must be positive (or unlimited)")
-        if self.startup_threshold <= 0 or self.rebuffer_threshold <= 0:
-            raise ValueError("startup and rebuffer thresholds must be positive")
-        if self.freeze_trigger < 0:
-            raise ValueError("freeze_trigger must be nonnegative")
-        if self.rebuffer_threshold < self.freeze_trigger:
+        if not self.freeze_trigger >= 0:
+            raise ValueError(f"freeze_trigger must be nonnegative, got {self.freeze_trigger}")
+        if not self.rebuffer_threshold >= self.freeze_trigger:
             raise ValueError("rebuffer_threshold must be >= freeze_trigger")
         if self.playback_model not in ("freeze", "skip"):
             raise ValueError("playback_model must be 'freeze' or 'skip'")
@@ -111,140 +121,122 @@ class World:
         self._dep_rng = departure_rng
         self.slot = 0
         self.ledgers: list[SlotLedger] = []
+        self.sessions = SessionLog()  # departed sessions, in departure order
         self._skip_mode = config.playback_model == "skip"
-        # Active-session arrays.
-        self.arrival = np.zeros(0, dtype=np.int64)
-        self.target = np.zeros(0, dtype=np.int64)
-        self.playback = np.zeros(0, dtype=np.int64)
-        self.buffer = np.zeros(0)
-        self.downloaded = np.zeros(0)
-        self.state = np.zeros(0, dtype=np.int8)
-        self.freeze_count = np.zeros(0, dtype=np.int64)
-        self.freeze_time = np.zeros(0, dtype=np.int64)
-        self.skipped = np.zeros(0)
-        self._records: list[SessionRecord] = []
+        # The session slab; rows [0, _n) of each block are the active sessions.
+        self._n = 0
+        self._floats = np.zeros((3, 0))                # buffer, downloaded, skipped
+        self._ints = np.zeros((5, 0), dtype=np.int64)  # arrival, target, playback,
+        #                                                freeze_count, freeze_time
+        self._state = np.zeros(0, dtype=np.int8)
+        self._access_cap = np.zeros(0)
 
     @property
     def active_count(self) -> int:
-        return int(self.arrival.size)
+        return self._n
 
-    def _admit(self, n: int) -> None:
-        draws = self._dep_rng.random(n)
+    def _admit(self, k: int) -> None:
+        draws = self._dep_rng.random(k)
         targets = self.model.sample_slots(draws).astype(np.int64)
-        self.arrival = np.concatenate([self.arrival, np.full(n, self.slot, dtype=np.int64)])
-        self.target = np.concatenate([self.target, targets])
-        self.playback = np.concatenate([self.playback, np.zeros(n, dtype=np.int64)])
-        self.buffer = np.concatenate([self.buffer, np.zeros(n)])
-        self.downloaded = np.concatenate([self.downloaded, np.zeros(n)])
-        self.state = np.concatenate([self.state, np.full(n, STARTUP, dtype=np.int8)])
-        self.freeze_count = np.concatenate([self.freeze_count, np.zeros(n, dtype=np.int64)])
-        self.freeze_time = np.concatenate([self.freeze_time, np.zeros(n, dtype=np.int64)])
-        self.skipped = np.concatenate([self.skipped, np.zeros(n)])
+        n, m = self._n, self._n + k
+        if m > self._state.size:
+            self._grow(max(m, 2 * self._state.size))
+        self._floats[:, n:m] = 0.0
+        self._ints[:, n:m] = 0
+        self._ints[0, n:m] = self.slot
+        self._ints[1, n:m] = targets
+        self._state[n:m] = STARTUP
+        self._n = m
 
-    def _compress(self, keep: np.ndarray) -> None:
-        self.arrival = self.arrival[keep]
-        self.target = self.target[keep]
-        self.playback = self.playback[keep]
-        self.buffer = self.buffer[keep]
-        self.downloaded = self.downloaded[keep]
-        self.state = self.state[keep]
-        self.freeze_count = self.freeze_count[keep]
-        self.freeze_time = self.freeze_time[keep]
-        self.skipped = self.skipped[keep]
+    def _grow(self, size: int) -> None:
+        def grown(block):
+            out = np.empty(block.shape[:-1] + (size,), dtype=block.dtype)
+            out[..., : self._n] = block[..., : self._n]
+            return out
+
+        self._floats, self._ints, self._state = map(grown, (self._floats, self._ints, self._state))
+        self._access_cap = np.full(size, self.config.access_cap)
+        self._access_cap.flags.writeable = False
 
     def step(self, n_arrivals: int = 0) -> SlotLedger:
         """Advance one slot: arrivals, allocation, download, playback, departures."""
         cfg = self.config
         if n_arrivals:
             self._admit(n_arrivals)
-        n = self.active_count
+        n = self._n
         ledger = SlotLedger(slot=self.slot, arrivals=n_arrivals, active=n)
         if n:
-            remaining = np.maximum(cfg.file_size - self.downloaded, 0.0)
+            buffer, downloaded, skipped = self._floats[:, :n]
+            _, target, playback, freeze_count, freeze_time = self._ints[:, :n]
+            state = self._state[:n]
+            in_startup = state == STARTUP
+            # Sessions playing at the start of the slot are the ones that try
+            # to consume: those leaving startup or a freeze resume next slot.
+            playing = state == PLAYING
             pool = PoolState(
-                buffer=self.buffer,
-                ratio=self.playback / cfg.video_length,
-                access_cap=np.full(n, cfg.access_cap),
-                remaining=remaining,
-                in_startup=self.state == STARTUP,
-                playing=self.state == PLAYING,
+                buffer=buffer,
+                ratio=playback / cfg.video_length,
+                access_cap=self._access_cap[:n],
+                remaining=np.maximum(cfg.file_size - downloaded, 0.0),
+                in_startup=in_startup,
+                playing=playing,
             )
             rates = self._alloc(pool, cfg.server_capacity)
             ledger.bw_used = float(rates.sum())
-            self.buffer += rates / cfg.bitrate
-            self.downloaded += rates
+            buffer += rates / cfg.bitrate
+            downloaded += rates
 
-            newly_playing = (self.state == STARTUP) & (self.buffer >= cfg.startup_threshold)
-            self.state[newly_playing] = PLAYING
+            np.copyto(state, PLAYING, where=in_startup & (buffer >= cfg.startup_threshold))
+            ledger.playing = int(np.count_nonzero(playing))
             if self._skip_mode:
-                playing = (self.state == PLAYING) & ~newly_playing
-                take = np.minimum(self.buffer[playing], 1.0)
-                self.buffer[playing] -= take
-                self.playback[playing] += 1
-                self.skipped[playing] += 1.0 - take
-                ledger.playing = int(playing.sum())
+                take = np.minimum(buffer[playing], 1.0)
+                buffer[playing] -= take
+                playback += playing
+                skipped[playing] += 1.0 - take
                 ledger.consumed = float(take.sum())
             else:
-                exits = (self.state == FROZEN) & (self.buffer >= cfg.rebuffer_threshold)
-                self.state[exits] = PLAYING
-                # Sessions that just left startup or a freeze resume playback next slot.
-                attempting = (self.state == PLAYING) & ~newly_playing & ~exits
-                consume = attempting & (self.buffer - 1.0 > cfg.freeze_trigger)
-                self.buffer[consume] -= 1.0
-                self.playback[consume] += 1
-                to_freeze = attempting & ~consume
-                self.state[to_freeze] = FROZEN
-                self.freeze_count[to_freeze] += 1
-                frozen_now = self.state == FROZEN
-                self.freeze_time[frozen_now] += 1
-                ledger.playing = int(attempting.sum())
-                ledger.consumed = float(consume.sum())
+                exits = (state == FROZEN) & (buffer >= cfg.rebuffer_threshold)
+                np.copyto(state, PLAYING, where=exits)
+                consume = playing & (buffer - 1.0 > cfg.freeze_trigger)
+                buffer -= consume
+                playback += consume
+                to_freeze = playing ^ consume
+                np.copyto(state, FROZEN, where=to_freeze)
+                freeze_count += to_freeze
+                freeze_time += state == FROZEN
+                ledger.consumed = float(np.count_nonzero(consume))
 
-            departing = (self.playback >= self.target) | (
-                self.downloaded >= cfg.file_size - 1e-9
-            )
-            n_dep = int(departing.sum())
-            if n_dep:
-                # Download-complete departures get credited up to their target:
-                # the buffered tail up to the target would still be viewed.
-                if self._skip_mode:
-                    viewed = self.playback[departing] - self.skipped[departing]
-                else:
-                    viewed = np.where(
-                        self.playback[departing] >= self.target[departing],
-                        self.playback[departing],
-                        self.target[departing],
-                    )
-                waste = np.maximum(self.downloaded[departing] - viewed * cfg.bitrate, 0.0)
-                ledger.bw_wasted = float(waste.sum())
-                ledger.departures = n_dep
-                arrivals = self.arrival[departing]
-                fc = self.freeze_count[departing]
-                ft = self.freeze_time[departing]
-                play = self.playback[departing]
-                for i in range(n_dep):
-                    self._records.append(
-                        SessionRecord(
-                            arrival_slot=int(arrivals[i]),
-                            freeze_count=int(fc[i]),
-                            freeze_time=float(ft[i]),
-                            play_time=float(play[i]),
-                            waste=float(waste[i]),
-                        )
-                    )
-                self._compress(~departing)
+            departing = (playback >= target) | (downloaded >= cfg.file_size - 1e-9)
+            if departing.any():
+                self._depart(departing, ledger)
         self.ledgers.append(ledger)
         self.slot += 1
         return ledger
 
-    def departed_sessions(self) -> list[SessionRecord]:
-        return list(self._records)
-
-
-def step(world: World, n_arrivals: int = 0) -> World:
-    """Functional-style wrapper over World.step."""
-    world.step(n_arrivals)
-    return world
+    def _depart(self, departing: np.ndarray, ledger: SlotLedger) -> None:
+        """Log the departing sessions, then compact the slab stably."""
+        cfg = self.config
+        gone = departing.nonzero()[0]
+        _, downloaded, skipped = self._floats.take(gone, axis=1)
+        arrival, target, playback, freeze_count, freeze_time = self._ints.take(gone, axis=1)
+        # Download-complete departures get credited up to their target:
+        # the buffered tail up to the target would still be viewed.
+        if self._skip_mode:
+            viewed = playback - skipped
+        else:
+            viewed = np.maximum(playback, target)
+        waste = np.maximum(downloaded - viewed * cfg.bitrate, 0.0)
+        ledger.bw_wasted = float(waste.sum())
+        ledger.departures = gone.size
+        self.sessions.append(arrival, freeze_count, freeze_time, playback, waste)
+        # Arrival order sets the allocators' tie order and the order of float
+        # sums, so the surviving rows keep their relative order.
+        keep = (~departing).nonzero()[0]
+        m = keep.size
+        self._floats[:, :m] = self._floats.take(keep, axis=1)
+        self._ints[:, :m] = self._ints.take(keep, axis=1)
+        self._state[:m] = self._state[keep]
+        self._n = m
 
 
 @dataclass
@@ -253,7 +245,7 @@ class RunResult:
     config: SimConfig
     report: MetricsReport
     ledgers: list[SlotLedger] = field(repr=False, default_factory=list)
-    sessions: list[SessionRecord] = field(repr=False, default_factory=list)
+    sessions: SessionLog = field(repr=False, default_factory=SessionLog)
 
 
 def run(
@@ -276,7 +268,7 @@ def run(
     for c in counts:
         world.step(int(c))
     w = config.warmup_slots
-    sessions = [s for s in world.departed_sessions() if s.arrival_slot >= w]
+    sessions = world.sessions.select(world.sessions.columns[0] >= w)
     measured = [l for l in world.ledgers if l.slot >= w]
     report = aggregate(sessions, measured, slot_length=1.0)
     return RunResult(

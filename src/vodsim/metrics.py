@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
+
+import numpy as np
 
 CSV_HEADER = (
     "strategy,rho,percent_user,avg_n_freeze,avg_t_freeze,"
@@ -21,6 +23,56 @@ class SessionRecord:
     freeze_time: float   # slots spent frozen
     play_time: float     # slots of content actually played
     waste: float         # downloaded-but-never-viewed content (rate*slot units)
+
+
+class SessionLog:
+    """Departed sessions as columns, one row per `SessionRecord` field, in
+    departure order.  The columns live in one float block that grows
+    geometrically; it supports len() and iterates as SessionRecords."""
+
+    FIELDS = tuple(f.name for f in fields(SessionRecord))
+
+    def __init__(self, columns=None):
+        if columns is None:
+            columns = np.zeros((len(self.FIELDS), 0))
+        self._block = np.asarray(columns, dtype=float)
+        self._n = self._block.shape[1]
+
+    @classmethod
+    def from_records(cls, records: Sequence[SessionRecord]) -> "SessionLog":
+        return cls([[getattr(s, name) for s in records] for name in cls.FIELDS])
+
+    @property
+    def columns(self) -> np.ndarray:
+        """(fields, sessions) view, rows in `FIELDS` order."""
+        return self._block[:, : self._n]
+
+    def append(self, *columns) -> None:
+        """Append sessions given as one array per field, in `FIELDS` order."""
+        k = self._n
+        m = k + len(columns[0])
+        if m > self._block.shape[1]:
+            grown = np.empty((len(self.FIELDS), max(2 * self._block.shape[1], m, 256)))
+            grown[:, :k] = self._block[:, :k]
+            self._block = grown
+        self._block[:, k:m] = columns
+        self._n = m
+
+    def select(self, mask) -> "SessionLog":
+        return SessionLog(self.columns[:, mask])
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        for a, fc, ft, play, waste in self.columns.T.tolist():
+            yield SessionRecord(int(a), int(fc), ft, play, waste)
+
+
+def _sum_left_to_right(x: np.ndarray) -> float:
+    """Sequential float sum, as builtin sum() adds on Python < 3.12; numpy's
+    pairwise x.sum() may differ in the last bits."""
+    return float(np.cumsum(x)[-1])
 
 
 @dataclass(frozen=True)
@@ -41,7 +93,7 @@ class MetricsReport:
 
 
 def aggregate(
-    sessions: Sequence[SessionRecord],
+    sessions: SessionLog | Sequence[SessionRecord],
     ledgers,
     slot_length: float = 1.0,
 ) -> MetricsReport:
@@ -52,19 +104,22 @@ def aggregate(
     An empty session set yields an all-zero report flagged `empty`.
     """
     peak = max((l.bw_used for l in ledgers), default=0.0)
+    if not isinstance(sessions, SessionLog):
+        sessions = SessionLog.from_records(sessions)
     n = len(sessions)
     if n == 0:
         return MetricsReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(peak), 0, 0.0, empty=True)
-    freezes = sum(s.freeze_count for s in sessions)
-    freeze_seconds = sum(s.freeze_time for s in sessions) * slot_length
-    session_seconds = sum(s.play_time + s.freeze_time for s in sessions) * slot_length
+    _, freeze_count, freeze_time, play_time, waste = sessions.columns
+    freezes = int(freeze_count.sum())
+    freeze_seconds = _sum_left_to_right(freeze_time) * slot_length
+    session_seconds = _sum_left_to_right(play_time + freeze_time) * slot_length
     return MetricsReport(
-        percent_user=sum(1 for s in sessions if s.freeze_count > 0) / n,
+        percent_user=int(np.count_nonzero(freeze_count > 0)) / n,
         avg_n_freeze=freezes / n,
         avg_t_freeze=freeze_seconds / n,
         freeze_ratio=freeze_seconds / session_seconds if session_seconds > 0 else 0.0,
         rate_freeze=freezes / (session_seconds / 60.0) if session_seconds > 0 else 0.0,
-        wasted_bw=float(sum(s.waste for s in sessions)),
+        wasted_bw=_sum_left_to_right(waste),
         peak_bw=float(peak),
         sessions_completed=n,
         total_session_seconds=session_seconds,

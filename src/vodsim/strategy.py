@@ -22,8 +22,6 @@ import numpy as np
 
 from .behavior import DepartureRates, PhaseBoundary
 
-FEAS_TOL = 1e-9
-
 STRATEGY_NAMES = ("sc", "sc+", "be", "eb", "ew", "bb")
 
 
@@ -123,10 +121,40 @@ def _level_fill(floors, weights, caps, budget):
     return x, float(level)
 
 
+def _fair_fill(caps, budget):
+    """`_level_fill` with zero floors and unit weights, bit for bit.
+
+    Its breakpoints are n zeros followed by the caps, so only the n caps are
+    sorted: below the smallest cap all n users rise together, and each cap
+    passed leaves one user fewer.  Returns (x, level) as `_level_fill` does.
+    """
+    caps = np.maximum(np.asarray(caps, dtype=float), 0.0)
+    n = caps.size
+    if n == 0:
+        return np.zeros(0), math.inf
+    if budget >= float(caps.sum()):
+        return caps.copy(), math.inf
+    if budget <= 0.0:
+        return np.zeros(n), 0.0
+    pts = np.sort(caps)
+    slope = np.arange(n, 0, -1, dtype=float)  # users still below each cap
+    # Cumulative capacity spent to raise the level up to each sorted cap.
+    gaps = np.empty(n)
+    gaps[0] = pts[0]
+    np.subtract(pts[1:], pts[:-1], out=gaps[1:])
+    spent = np.cumsum(slope * gaps)
+    k = int(np.searchsorted(spent, budget, side="right"))
+    if k >= n:
+        return caps.copy(), math.inf
+    base, spent_k = (pts[k - 1], spent[k - 1]) if k else (0.0, 0.0)
+    level = base + (budget - spent_k) / slope[k]
+    # level >= 0, so clipping to [0, cap] is a minimum with the cap.
+    return np.minimum(caps, level), float(level)
+
+
 def waterfill(demands, capacity):
     """Max-min fair split of capacity under per-user demand caps."""
-    x, _ = _level_fill(np.zeros(len(demands)), np.ones(len(demands)), demands, capacity)
-    return x
+    return _fair_fill(demands, capacity)[0]
 
 
 def sc_rates(pool: PoolState, C: float, bitrate: float, delta: float = 0.0) -> np.ndarray:
@@ -201,9 +229,7 @@ def bb_rates(pool: PoolState, C: float, bitrate: float, boundary: PhaseBoundary)
     if not others.any():
         return rates
     residual = max(C - float(d_browse.sum()), 0.0) if not math.isinf(C) else math.inf
-    x, level = _level_fill(
-        np.zeros(int(others.sum())), np.ones(int(others.sum())), d_all[others], residual
-    )
+    x, level = _fair_fill(d_all[others], residual)
     if level < float(d_browse.max()):
         return be_rates(pool, C)
     rates[others] = x

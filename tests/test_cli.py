@@ -63,6 +63,33 @@ class TestRun:
         assert all(r[1] == "" for r in rows)  # trace rows carry no rho
 
 
+class TestInputErrors:
+    """Bad flag combinations exit 2 with an `error:` line, not a numpy error
+    or a silently empty or unchanged table."""
+
+    def test_unlimited_capacity_with_poisson_arrivals(self, tmp_path, capsys):
+        code = cli.main(["run", "--strategy", "be", "--capacity", "unlimited",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: Poisson arrivals need a finite --capacity" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_zero_repetitions(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--strategy", "be", "--repetitions", "0",
+                      "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "error: argument --repetitions" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_target_fraction_without_trace(self, tmp_path, capsys):
+        code = cli.main(["run", "--strategy", "be", "--target-fraction", "0.9",
+                         *SMALL, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: --target-fraction" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestSweep:
     def test_freeze_ratio_monotone_in_load(self, tmp_path):
         out = tmp_path / "sweep.csv"

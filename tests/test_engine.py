@@ -180,6 +180,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(playback_model="rewind").validate()
 
+    @pytest.mark.parametrize("field", ["bitrate", "access_cap", "server_capacity",
+                                       "startup_threshold"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive, got nan"):
+            replace(SimConfig(), **{field: math.nan}).validate()
+
     def test_default_warmup_is_twice_video_length(self):
         assert SimConfig(duration=5000).warmup_slots == 600
 

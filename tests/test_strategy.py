@@ -1,6 +1,7 @@
 """Unit, oracle, and property tests for the six rate allocators."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from vodsim.behavior import PhaseBoundary
 from vodsim.strategy import (
     STRATEGY_NAMES,
     UserView,
+    _fair_fill,
+    _level_fill,
     allocate_bb,
     allocate_be,
     allocate_eb,
@@ -50,6 +53,29 @@ class TestWaterfill:
 
     def test_cap_binds_then_split(self):
         np.testing.assert_allclose(waterfill(np.array([0.5, 2.0, 2.0]), 3.0), [0.5, 1.25, 1.25])
+
+
+class TestFairFill:
+    """`_fair_fill` is `_level_fill` with zero floors and unit weights, bit for bit."""
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                      st.floats(min_value=0.0, max_value=10.0)),
+            max_size=30,
+        ),
+        # budget as a share of the summed caps: 0, exactly all, or unlimited
+        st.one_of(st.sampled_from([0.0, 1.0, math.inf]), st.floats(min_value=0.0, max_value=1.0)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_level_fill(self, caps, share):
+        caps = np.array(caps, dtype=float)
+        budget = math.inf if share == math.inf else share * float(caps.sum())
+        n = caps.size
+        x_ref, level_ref = _level_fill(np.zeros(n), np.ones(n), caps, budget)
+        x, level = _fair_fill(caps, budget)
+        assert np.array_equal(x, x_ref)
+        assert level == level_ref
 
 
 class TestSC:

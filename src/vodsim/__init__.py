@@ -17,7 +17,6 @@ from .engine import SimConfig, World, load_to_arrival_rate, planning_viewing_rat
 from .metrics import MetricsReport, SessionRecord, aggregate
 from .strategy import (
     Allocation,
-    DepartureRateFn,
     UserView,
     allocate_bb,
     allocate_be,
@@ -30,7 +29,6 @@ __all__ = [
     "Allocation",
     "DepartureHistogram",
     "DepartureModel",
-    "DepartureRateFn",
     "DepartureRates",
     "MetricsReport",
     "PhaseBoundary",

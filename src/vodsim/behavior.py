@@ -271,7 +271,9 @@ class DepartureModel:
     def hazard_at(self, viewing_ratio: np.ndarray) -> np.ndarray:
         """Piecewise-constant hazard lookup by viewing ratio."""
         v = np.asarray(viewing_ratio, dtype=float)
-        idx = np.clip((v * self.slots).astype(int), 0, self.slots - 1)
+        idx = np.asarray(v * self.slots).astype(int)  # 0-d stays an array
+        np.minimum(idx, self.slots - 1, out=idx)
+        np.maximum(idx, 0, out=idx)
         return self.rates.p[idx]
 
 

@@ -115,6 +115,14 @@ def _write_rows(rows, fmt: str, out_path):
         sys.stdout.write(text)
 
 
+def _repetition_seeds(seed: int, repetitions: int) -> list[int]:
+    """Seeds of the repetitions: the first keeps `seed`, the others are drawn
+    from children of `SeedSequence(seed)`, so that a later repetition of one
+    seed does not replay the first run of a neighbouring seed."""
+    children = np.random.SeedSequence(seed).spawn(repetitions - 1)
+    return [seed] + [int(c.generate_state(1)[0]) for c in children]
+
+
 def _experiment_rows(args, config, model, rho_values):
     """One (strategy, rho, report) row per requested combination."""
     if args.trace is None:
@@ -125,6 +133,7 @@ def _experiment_rows(args, config, model, rho_values):
                 "Poisson arrivals need a finite --capacity: rho is a share of it "
                 "(use --trace for an unlimited-capacity run)"
             )
+    seeds = _repetition_seeds(config.seed, args.repetitions)
     rows = []
     last_result = None
     for rho in rho_values:
@@ -155,9 +164,8 @@ def _experiment_rows(args, config, model, rho_values):
             )
             cfg = replace(cfg, server_capacity=capacity)
         for strategy in args.strategy:
-            for rep in range(args.repetitions):
-                run_cfg = replace(cfg, seed=cfg.seed + rep) if rep else cfg
-                result = engine.run(run_cfg, strategy, process, model)
+            for seed in seeds:
+                result = engine.run(replace(cfg, seed=seed), strategy, process, model)
                 rows.append((strategy, None if args.trace else rho, result.report))
                 last_result = result
     return rows, last_result

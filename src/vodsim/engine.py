@@ -5,16 +5,20 @@ freeze-state transitions, departures, accounting.  A run is strictly
 sequential and deterministic given its seed (one RNG substream feeds
 arrivals, another the departure-time draws).
 
-Active sessions live in a columnar slab of three preallocated blocks that
-grow geometrically: a float block (buffer, downloaded, skipped), an int64
-block (arrival, target, playback, freeze_count, freeze_time) and an int8
-state column.  Rows [0, n) are the n active sessions, oldest arrival first.
-Admission writes the rows after them; playback and freeze updates are
-whole-column arithmetic over the first n rows.  A departure appends the
-departing rows to the `SessionLog` and compacts each block with one gather
-that keeps the surviving rows in their relative order.  That order must stay
-stable: it is the allocators' tie order and the order of the float sums, so
-any reordering changes the output bytes.
+Active sessions live in one preallocated float64 block of nine rows that
+grows geometrically: buffer, downloaded, skipped, arrival, target, playback,
+freeze_count, freeze_time and state.  The integer rows hold slot counts and
+the state code, all far below 2**53, so float64 stores them exactly and the
+arithmetic on them (`playback / L`, `freeze_count += to_freeze`,
+`np.maximum(playback, target)`) gives the same bits as int64 columns would.
+Columns [0, n) are the n active sessions, oldest arrival first.  Admission
+writes the columns after them; playback and freeze updates are whole-row
+arithmetic over the first n columns.  A departure gathers the departing
+columns with one `take` and appends them to the `SessionLog`.  It then
+slides each run of survivors left over the gaps before it, in order, one
+slice per run.  The survivors keep their relative order, and that order
+must stay stable: it is the allocators' tie order and the order of the
+float sums, so any reordering changes the output bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +33,14 @@ from .behavior import DepartureModel
 from .metrics import MetricsReport, SessionLog, aggregate
 from .strategy import PoolState, make_allocator
 
+# Session states.  Each transition steps to a neighbouring code, so the slot
+# loop applies it by adding or subtracting the transition's mask.
 STARTUP, PLAYING, FROZEN = 0, 1, 2
+
+# Rows of the session slab, in order.
+SLAB_ROWS = ("buffer", "downloaded", "skipped", "arrival", "target", "playback",
+             "freeze_count", "freeze_time", "state")
+ARRIVAL, TARGET = SLAB_ROWS.index("arrival"), SLAB_ROWS.index("target")
 
 UNLIMITED = math.inf
 
@@ -123,12 +134,10 @@ class World:
         self.ledgers: list[SlotLedger] = []
         self.sessions = SessionLog()  # departed sessions, in departure order
         self._skip_mode = config.playback_model == "skip"
-        # The session slab; rows [0, _n) of each block are the active sessions.
+        # The session slab: columns [0, _n) are the active sessions, rows as
+        # in SLAB_ROWS.
         self._n = 0
-        self._floats = np.zeros((3, 0))                # buffer, downloaded, skipped
-        self._ints = np.zeros((5, 0), dtype=np.int64)  # arrival, target, playback,
-        #                                                freeze_count, freeze_time
-        self._state = np.zeros(0, dtype=np.int8)
+        self._slab = np.zeros((len(SLAB_ROWS), 0))
         self._access_cap = np.zeros(0)
 
     @property
@@ -137,24 +146,20 @@ class World:
 
     def _admit(self, k: int) -> None:
         draws = self._dep_rng.random(k)
-        targets = self.model.sample_slots(draws).astype(np.int64)
+        targets = self.model.sample_slots(draws)
         n, m = self._n, self._n + k
-        if m > self._state.size:
-            self._grow(max(m, 2 * self._state.size))
-        self._floats[:, n:m] = 0.0
-        self._ints[:, n:m] = 0
-        self._ints[0, n:m] = self.slot
-        self._ints[1, n:m] = targets
-        self._state[n:m] = STARTUP
+        if m > self._slab.shape[1]:
+            self._grow(max(m, 2 * self._slab.shape[1]))
+        new = self._slab[:, n:m]
+        new[:] = 0.0  # also sets state to STARTUP
+        new[ARRIVAL] = self.slot
+        new[TARGET] = targets
         self._n = m
 
     def _grow(self, size: int) -> None:
-        def grown(block):
-            out = np.empty(block.shape[:-1] + (size,), dtype=block.dtype)
-            out[..., : self._n] = block[..., : self._n]
-            return out
-
-        self._floats, self._ints, self._state = map(grown, (self._floats, self._ints, self._state))
+        slab = np.empty((len(SLAB_ROWS), size))
+        slab[:, : self._n] = self._slab[:, : self._n]
+        self._slab = slab
         self._access_cap = np.full(size, self.config.access_cap)
         self._access_cap.flags.writeable = False
 
@@ -166,9 +171,8 @@ class World:
         n = self._n
         ledger = SlotLedger(slot=self.slot, arrivals=n_arrivals, active=n)
         if n:
-            buffer, downloaded, skipped = self._floats[:, :n]
-            _, target, playback, freeze_count, freeze_time = self._ints[:, :n]
-            state = self._state[:n]
+            (buffer, downloaded, skipped, _, target, playback,
+             freeze_count, freeze_time, state) = self._slab[:, :n]
             in_startup = state == STARTUP
             # Sessions playing at the start of the slot are the ones that try
             # to consume: those leaving startup or a freeze resume next slot.
@@ -186,7 +190,7 @@ class World:
             buffer += rates / cfg.bitrate
             downloaded += rates
 
-            np.copyto(state, PLAYING, where=in_startup & (buffer >= cfg.startup_threshold))
+            state += in_startup & (buffer >= cfg.startup_threshold)  # STARTUP -> PLAYING
             ledger.playing = int(np.count_nonzero(playing))
             if self._skip_mode:
                 take = np.minimum(buffer[playing], 1.0)
@@ -196,12 +200,12 @@ class World:
                 ledger.consumed = float(take.sum())
             else:
                 exits = (state == FROZEN) & (buffer >= cfg.rebuffer_threshold)
-                np.copyto(state, PLAYING, where=exits)
+                state -= exits  # FROZEN -> PLAYING
                 consume = playing & (buffer - 1.0 > cfg.freeze_trigger)
                 buffer -= consume
                 playback += consume
                 to_freeze = playing ^ consume
-                np.copyto(state, FROZEN, where=to_freeze)
+                state += to_freeze  # PLAYING -> FROZEN
                 freeze_count += to_freeze
                 freeze_time += state == FROZEN
                 ledger.consumed = float(np.count_nonzero(consume))
@@ -217,8 +221,8 @@ class World:
         """Log the departing sessions, then compact the slab stably."""
         cfg = self.config
         gone = departing.nonzero()[0]
-        _, downloaded, skipped = self._floats.take(gone, axis=1)
-        arrival, target, playback, freeze_count, freeze_time = self._ints.take(gone, axis=1)
+        (_, downloaded, skipped, arrival, target, playback,
+         freeze_count, freeze_time, _) = self._slab.take(gone, axis=1)
         # Download-complete departures get credited up to their target:
         # the buffered tail up to the target would still be viewed.
         if self._skip_mode:
@@ -229,14 +233,24 @@ class World:
         ledger.bw_wasted = float(waste.sum())
         ledger.departures = gone.size
         self.sessions.append(arrival, freeze_count, freeze_time, playback, waste)
-        # Arrival order sets the allocators' tie order and the order of float
-        # sums, so the surviving rows keep their relative order.
-        keep = (~departing).nonzero()[0]
-        m = keep.size
-        self._floats[:, :m] = self._floats.take(keep, axis=1)
-        self._ints[:, :m] = self._ints.take(keep, axis=1)
-        self._state[:m] = self._state[keep]
-        self._n = m
+        self._n = _compact(self._slab, self._n, gone)
+
+
+def _compact(slab: np.ndarray, n: int, gone: np.ndarray) -> int:
+    """Drop the columns `gone` (ascending, all below n) from the first n
+    columns of `slab` by sliding each run of survivors left over the gaps
+    before it, one slice per run, so the survivors keep their relative order.
+    Returns the survivor count.
+    """
+    ends = gone.tolist()
+    ends.append(n)
+    dst = ends[0]
+    for src, end in zip(ends, ends[1:]):
+        width = end - src - 1
+        if width:
+            slab[:, dst : dst + width] = slab[:, src + 1 : end]
+            dst += width
+    return dst
 
 
 @dataclass

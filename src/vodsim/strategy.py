@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .behavior import DepartureRates, PhaseBoundary
+from .behavior import PhaseBoundary
 
 STRATEGY_NAMES = ("sc", "sc+", "be", "eb", "ew", "bb")
 
@@ -56,18 +56,6 @@ class Allocation:
         return float(sum(self.rates.values()))
 
 
-@dataclass(frozen=True)
-class DepartureRateFn:
-    """Piecewise-constant hazard lookup backed by DepartureRates."""
-
-    rates: DepartureRates
-
-    def __call__(self, viewing_ratio: float) -> float:
-        p = self.rates.p
-        idx = min(int(viewing_ratio * p.size), p.size - 1)
-        return float(p[idx])
-
-
 class PoolState(NamedTuple):
     """Array view of all active sessions, as the engine sees them."""
 
@@ -84,11 +72,12 @@ def _level_fill(floors, weights, caps, budget):
 
     Finds x (0 <= x_i <= cap_i, sum x_i <= budget) that lexicographically
     maximizes the level vector; users whose cap binds below the common level
-    receive their cap.  Returns (x, level); level is +inf when every cap binds
-    with budget to spare.
+    receive their cap.  `weights=None` means unit weights and gives the same
+    bits as `np.ones(n)`, since multiplying or dividing by 1.0 is exact.
+    Returns (x, level); level is +inf when every cap binds with budget to
+    spare.
     """
     floors = np.asarray(floors, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     caps = np.asarray(caps, dtype=float)
     n = floors.size
     if n == 0:
@@ -97,27 +86,45 @@ def _level_fill(floors, weights, caps, budget):
     total_caps = float(caps.sum())
     if budget >= total_caps:
         return caps.copy(), math.inf
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
     if budget <= 0.0:
-        lvl = float((weights * floors).min()) if n else math.inf
-        return np.zeros(n), lvl
+        return np.zeros(n), float((floors if weights is None else weights * floors).min())
 
-    starts = weights * floors
-    ends = weights * (floors + caps)
-    points = np.concatenate([starts, ends])
-    slopes = np.concatenate([1.0 / weights, -1.0 / weights])
-    order = np.argsort(points, kind="stable")
+    # Breakpoints: each user starts rising at w*floor and stops at
+    # w*(floor + cap); between them it adds 1/w to the level's slope.
+    points = np.empty(2 * n)
+    slopes = np.empty(2 * n)
+    np.add(floors, caps, out=points[n:])
+    if weights is None:
+        points[:n] = floors
+        slopes[:n] = 1.0
+        slopes[n:] = -1.0
+    else:
+        np.multiply(weights, floors, out=points[:n])
+        points[n:] *= weights
+        np.divide(1.0, weights, out=slopes[:n])
+        np.negative(slopes[:n], out=slopes[n:])
+    # Stable: tied breakpoints keep their order, and the float slope sums
+    # depend on it.
+    order = points.argsort(kind="stable")
     pts = points[order]
-    slope = np.cumsum(slopes[order])
+    slope = slopes[order].cumsum()
     # Cumulative capacity spent to raise the level up to each breakpoint.
-    spent = np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(pts))))
-    k = int(np.searchsorted(spent, budget, side="right")) - 1
+    spent = np.empty(2 * n)
+    spent[0] = 0.0
+    gaps = np.subtract(pts[1:], pts[:-1])
+    gaps *= slope[:-1]
+    gaps.cumsum(out=spent[1:])
+    k = int(spent.searchsorted(budget, side="right")) - 1
     if k >= n * 2 - 1:
         return caps.copy(), math.inf
     if slope[k] > 0:
         level = pts[k] + (budget - spent[k]) / slope[k]
     else:
         level = pts[k]
-    x = np.clip(level / weights - floors, 0.0, caps)
+    x = np.subtract(level if weights is None else level / weights, floors)
+    x.clip(0.0, caps, out=x)
     return x, float(level)
 
 
@@ -172,42 +179,49 @@ def be_rates(pool: PoolState, C: float) -> np.ndarray:
     return waterfill(np.minimum(pool.access_cap, pool.remaining), C)
 
 
-def _buffer_fill(pool: PoolState, C: float, bitrate: float, weights: np.ndarray) -> np.ndarray:
-    """Weighted water-fill of projected next-slot buffers.
+def _buffer_fill(
+    pool: PoolState, C: float, bitrate: float, weights: np.ndarray | None
+) -> np.ndarray:
+    """Weighted water-fill of projected next-slot buffers; `weights=None`
+    means unit weights.
 
     Zero-weight users cannot raise the waste level, so they are served after
     all positive-weight users reach the common level.
     """
-    floors = pool.buffer - pool.playing.astype(float)
+    floors = pool.buffer - pool.playing
     caps_sec = np.minimum(pool.access_cap, pool.remaining) / bitrate
     budget_sec = C / bitrate if not math.isinf(C) else math.inf
+    pos = None if weights is None else weights > 0
+    if pos is None or pos.all():
+        if weights is not None and weights.size:
+            weights = weights / weights.max()  # scale-invariant; constant weights become 1.0
+        x, _ = _level_fill(floors, weights, caps_sec, budget_sec)
+        return x * bitrate
     x = np.zeros(floors.size)
-    pos = weights > 0
     spent = 0.0
     if pos.any():
         w = weights[pos]
-        w = w / w.max()  # scale-invariant; constant weights become exactly 1.0
+        w = w / w.max()
         x_pos, _ = _level_fill(floors[pos], w, caps_sec[pos], budget_sec)
         x[pos] = x_pos
         spent = float(x_pos.sum())
     rest = ~pos
-    if rest.any():
-        leftover = budget_sec - spent if not math.isinf(budget_sec) else math.inf
-        if leftover > 0:
-            x_rest, _ = _level_fill(floors[rest], np.ones(int(rest.sum())), caps_sec[rest], leftover)
-            x[rest] = x_rest
+    leftover = budget_sec - spent if not math.isinf(budget_sec) else math.inf
+    if leftover > 0:
+        x_rest, _ = _level_fill(floors[rest], None, caps_sec[rest], leftover)
+        x[rest] = x_rest
     return x * bitrate
 
 
 def eb_rates(pool: PoolState, C: float, bitrate: float) -> np.ndarray:
     """Equal-buffer streaming: water-fill projected next-slot buffers."""
-    return _buffer_fill(pool, C, bitrate, np.ones(pool.buffer.size))
+    return _buffer_fill(pool, C, bitrate, None)
 
 
 def ew_rates(pool: PoolState, C: float, bitrate: float, hazard: np.ndarray) -> np.ndarray:
     """Equal waste-rate streaming: equalize hazard * projected buffer."""
     hazard = np.asarray(hazard, dtype=float)
-    if np.any(hazard < 0) or np.any(hazard > 1):
+    if (hazard < 0).any() or (hazard > 1).any():
         raise ValueError("hazard values must lie in [0, 1]")
     return _buffer_fill(pool, C, bitrate, hazard)
 

@@ -169,6 +169,21 @@ class TestSyntheticModel:
         assert prefix[0] > prefix[-1]
 
 
+class TestHazardLookup:
+    RATIOS = [-0.5, 0.0, 0.004, 0.5, 0.999, 1.0, 1.7]
+
+    def test_clamps_out_of_range_ratios(self):
+        model = DepartureModel.synthetic(L=50)
+        idx = np.clip((np.array(self.RATIOS) * 50).astype(int), 0, 49)
+        assert np.array_equal(model.hazard_at(np.array(self.RATIOS)), model.rates.p[idx])
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_scalar_matches_array(self, ratio):
+        model = DepartureModel.synthetic(L=50)
+        assert model.hazard_at(ratio) == model.hazard_at(np.array([ratio]))[0]
+        assert model.hazard_at(np.float64(ratio)) == model.hazard_at(np.array([ratio]))[0]
+
+
 class TestHistogramFileIO:
     def test_roundtrip(self, tmp_path):
         h = synthetic_model(50, 0.4, 0.2, 0.3)

@@ -62,6 +62,20 @@ class TestRun:
         assert [r[0] for r in rows] == ["sc", "be"]
         assert all(r[1] == "" for r in rows)  # trace rows carry no rho
 
+    def test_repetition_does_not_replay_next_seed(self, tmp_path):
+        # Repetition 1 of seed 1 must not replay the first row of seed 2;
+        # repetition 0 keeps the given seed.
+        def table(seed, reps):
+            out = tmp_path / f"seed{seed}x{reps}.csv"
+            assert cli.main(["run", "--strategy", "be", "--rho", "0.995", *SMALL,
+                             "--seed", str(seed), "--repetitions", str(reps),
+                             "--out", str(out)]) == 0
+            return _rows(out)
+
+        first, second = table(1, 2)
+        assert first == table(1, 1)[0]
+        assert second != table(2, 1)[0]
+
 
 class TestInputErrors:
     """Bad flag combinations exit 2 with an `error:` line, not a numpy error

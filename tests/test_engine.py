@@ -14,6 +14,13 @@ def _no_departure_model(L=20):
     return behavior.DepartureModel.no_early_departure(L)
 
 
+def _columns(world, copy=False):
+    """The active sessions' slab rows, by name: the tests' one view of
+    `World`'s internal layout."""
+    rows = world._slab[:, : world.active_count]
+    return dict(zip(engine.SLAB_ROWS, rows.copy() if copy else rows))
+
+
 class TestLoadConversion:
     def test_reference_scale_uncorrected(self):
         assert load_to_arrival_rate(0.995, 1000.0, 300, 1.0, 1.0) == pytest.approx(3.3167, abs=1e-4)
@@ -198,3 +205,104 @@ class TestConfigValidation:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "slot,arrivals,active,bw_used,bw_wasted,departures"
         assert len(lines) == 51
+
+
+class TestSlotInvariants:
+    """Per-slot invariants of every strategy, read through a wrapped
+    `engine.make_allocator` and `engine._compact` (no `World` option)."""
+
+    @pytest.mark.parametrize("mode", ["freeze", "skip"])
+    @pytest.mark.parametrize("strategy", ["sc", "sc+", "be", "eb", "ew", "bb"])
+    def test_invariants_hold_every_slot(self, strategy, mode, monkeypatch):
+        cfg = SimConfig(server_capacity=40.0, video_length=60, playback_model=mode,
+                        duration=500, warmup=0, seed=7)
+        model = behavior.DepartureModel.synthetic(L=60)
+        lam = load_to_arrival_rate(1.2, 40.0, 60, 1.0, model.mean_viewing_ratio)
+        counts = arrivals.ArrivalProcess.poisson(lam).generate(500, np.random.default_rng(7))
+        slot = {}
+        real_make_allocator, real_compact = engine.make_allocator, engine._compact
+
+        def make_allocator(*args):
+            alloc = real_make_allocator(*args)
+
+            def checked(pool, C):
+                rates = alloc(pool, C)
+                slot["before"] = _columns(world, copy=True)
+                slot["rates"] = rates
+                assert np.all(rates >= 0.0)
+                assert np.all(rates <= np.minimum(pool.access_cap, pool.remaining) * (1 + 1e-12))
+                assert rates.sum() <= C * (1 + 1e-9)
+                return rates
+            return checked
+
+        def compact(slab, n, gone):
+            slot["after_download"] = _columns(world, copy=True)
+            slot["departing"] = np.isin(np.arange(n), gone)
+            return real_compact(slab, n, gone)
+
+        monkeypatch.setattr(engine, "make_allocator", make_allocator)
+        monkeypatch.setattr(engine, "_compact", compact)
+        world = World(cfg, strategy, model)
+        binding = 0
+        for c in counts:
+            slot.clear()
+            world.step(int(c))
+            after = slot.get("after_download") or _columns(world)
+            if "departing" in slot:
+                survivors = ~slot["departing"]
+                for name, column in _columns(world).items():
+                    assert np.array_equal(column, after[name][survivors])
+            if "rates" in slot:
+                before = slot["before"]
+                binding += slot["rates"].sum() >= cfg.server_capacity * (1 - 1e-9)
+                assert np.array_equal(after["downloaded"], before["downloaded"] + slot["rates"])
+                assert np.all(after["buffer"] >= 0.0)
+                assert np.all(np.isin(after["state"], (engine.STARTUP, engine.PLAYING, engine.FROZEN)))
+            assert np.all(np.diff(_columns(world)["arrival"]) >= 0)
+        assert binding > 100  # capacity binds, so the fills take their sort paths
+
+
+def _filled_world(n, seed=0):
+    """A World holding n sessions with distinct values in every slab row."""
+    world = World(SimConfig(video_length=20), "be", _no_departure_model())
+    world.step(n)
+    values = np.random.default_rng(seed).random((len(engine.SLAB_ROWS), n))
+    for column, v in zip(_columns(world).values(), values):
+        column[:] = v
+    return world
+
+
+class TestCompaction:
+    """Departures leave the survivors and the logged rows that a boolean mask
+    gives, however many sessions leave in one slot."""
+
+    @pytest.mark.parametrize("n, gone", [
+        (10, [0]),
+        (10, [9]),
+        (10, [3, 4]),
+        (10, [0, 1, 2, 8, 9]),
+        (10, list(range(10))),
+        (1, [0]),
+        (100, [0, 1, 37, 38, 39, 70, 99]),
+        (100, list(range(0, 100, 2))),       # 50 departures, 50 runs
+        (100, list(range(60, 100))),         # 40 adjacent, the last rows
+        (100, list(range(0, 100))),
+        (100, [0, 5, 6, 50, 98, 99] + list(range(10, 46))),
+    ])
+    def test_matches_boolean_mask(self, n, gone):
+        world = _filled_world(n)
+        before = _columns(world, copy=True)
+        departing = np.zeros(n, dtype=bool)
+        departing[gone] = True
+        world._depart(departing, engine.SlotLedger(slot=0))
+        assert world.active_count == n - len(gone)
+        for name, column in _columns(world).items():
+            assert np.array_equal(column, before[name][~departing])
+        ref = {name: column[departing] for name, column in before.items()}
+        logged = world.sessions.columns
+        assert np.array_equal(logged[0], ref["arrival"])
+        assert np.array_equal(logged[1], ref["freeze_count"])
+        assert np.array_equal(logged[2], ref["freeze_time"])
+        assert np.array_equal(logged[3], ref["playback"])
+        viewed = np.maximum(ref["playback"], ref["target"])
+        assert np.array_equal(logged[4], np.maximum(ref["downloaded"] - viewed, 0.0))

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from vodsim.behavior import PhaseBoundary
 from vodsim.strategy import (
     STRATEGY_NAMES,
+    PoolState,
     UserView,
+    _buffer_fill,
     _fair_fill,
     _level_fill,
     allocate_bb,
@@ -76,6 +78,56 @@ class TestFairFill:
         x, level = _fair_fill(caps, budget)
         assert np.array_equal(x, x_ref)
         assert level == level_ref
+
+
+# Buffers, caps and weights for the lean fill paths.  Buffer 0 with
+# playing=True gives the floor -1 of a session about to drain; the sampled
+# values make tied floors and zero caps common.
+_buffers = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(min_value=0.0, max_value=8.0))
+_caps = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(min_value=0.0, max_value=4.0))
+_weights = st.one_of(st.sampled_from([0.1, 0.5, 1.0]), st.floats(min_value=1e-3, max_value=1.0))
+# Budget as a share of the summed caps: 0, exactly all, or unlimited.
+_shares = st.one_of(st.sampled_from([0.0, 1.0, math.inf]), st.floats(min_value=0.0, max_value=1.0))
+
+
+def _budget(share, caps):
+    return math.inf if share == math.inf else share * float(np.sum(caps))
+
+
+class TestLeanFill:
+    """`weights=None` and the all-positive shortcut give the same bits as the
+    general paths they skip."""
+
+    @given(st.lists(st.tuples(_buffers, st.booleans(), _caps), max_size=30), _shares)
+    @settings(max_examples=400, deadline=None)
+    def test_unit_weights_match_ones(self, users, share):
+        floors = np.array([b - p for b, p, _ in users], dtype=float)
+        caps = np.array([c for _, _, c in users], dtype=float)
+        budget = _budget(share, caps)
+        x, level = _level_fill(floors, None, caps, budget)
+        x_ref, level_ref = _level_fill(floors, np.ones(floors.size), caps, budget)
+        assert x.tobytes() == x_ref.tobytes()
+        assert np.float64(level).tobytes() == np.float64(level_ref).tobytes()
+
+    @given(st.lists(st.tuples(_buffers, st.booleans(), _caps, _weights), max_size=30), _shares)
+    @settings(max_examples=400, deadline=None)
+    def test_all_positive_shortcut_matches_masked_path(self, users, share):
+        # One extra user of weight 0 and cap 0 sends the same users down the
+        # masked path; it receives nothing, and the others must get the same
+        # bits as through the shortcut.
+        buffer, playing, caps, weights = (np.array(c) for c in zip(*users, (0.0, False, 0.0, 0.0)))
+        n = buffer.size
+        pool = PoolState(buffer=buffer, ratio=np.zeros(n), access_cap=caps,
+                         remaining=np.full(n, BIG), in_startup=np.zeros(n, dtype=bool),
+                         playing=playing.astype(bool))
+        C = _budget(share, caps)
+        masked = _buffer_fill(pool, C, 1.0, weights)
+        short = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, weights[:-1])
+        assert masked[-1] == 0.0
+        assert masked[:-1].tobytes() == short.tobytes()
+        unit = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, None)
+        ones = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, np.ones(n - 1))
+        assert unit.tobytes() == ones.tobytes()
 
 
 class TestSC:

@@ -15,18 +15,8 @@ from .behavior import (
 )
 from .engine import SimConfig, World, load_to_arrival_rate, planning_viewing_ratio, run
 from .metrics import MetricsReport, SessionRecord, aggregate
-from .strategy import (
-    Allocation,
-    UserView,
-    allocate_bb,
-    allocate_be,
-    allocate_eb,
-    allocate_ew,
-    allocate_sc,
-)
 
 __all__ = [
-    "Allocation",
     "DepartureHistogram",
     "DepartureModel",
     "DepartureRates",
@@ -34,15 +24,9 @@ __all__ = [
     "PhaseBoundary",
     "SessionRecord",
     "SimConfig",
-    "UserView",
     "ViewingRatioCdf",
     "World",
     "aggregate",
-    "allocate_bb",
-    "allocate_be",
-    "allocate_eb",
-    "allocate_ew",
-    "allocate_sc",
     "histogram_from_rates",
     "load_to_arrival_rate",
     "planning_viewing_ratio",

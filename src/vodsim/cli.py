@@ -141,19 +141,7 @@ def _experiment_rows(args, config, model, rho_values):
             process = arrivals.load_trace(args.trace, scale=args.trace_scale)
             cfg = replace(config, duration=args.duration or process.length)
         else:
-            estimate = engine.planning_viewing_ratio(
-                model.mean_viewing_ratio,
-                config.video_length,
-                config.startup_threshold,
-                config.bitrate,
-            )
-            lam = engine.load_to_arrival_rate(
-                rho,
-                config.server_capacity,
-                config.video_length,
-                config.bitrate,
-                estimate,
-            )
+            lam = engine.poisson_arrival_rate(rho, config, model)
             process = arrivals.ArrivalProcess.poisson(lam)
             cfg = config
         if args.trace and args.target_fraction is not None:

@@ -42,8 +42,6 @@ SLAB_ROWS = ("buffer", "downloaded", "skipped", "arrival", "target", "playback",
              "freeze_count", "freeze_time", "state")
 ARRIVAL, TARGET = SLAB_ROWS.index("arrival"), SLAB_ROWS.index("target")
 
-UNLIMITED = math.inf
-
 LEDGER_HEADER = "slot,arrivals,active,bw_used,bw_wasted,departures"
 
 
@@ -284,7 +282,7 @@ def run(
     w = config.warmup_slots
     sessions = world.sessions.select(world.sessions.columns[0] >= w)
     measured = [l for l in world.ledgers if l.slot >= w]
-    report = aggregate(sessions, measured, slot_length=1.0)
+    report = aggregate(sessions, measured)
     return RunResult(
         strategy=strategy,
         config=config,
@@ -330,6 +328,21 @@ def planning_viewing_ratio(
         raise ValueError("video_length, bitrate and precision must be positive")
     download_ratio = mean_viewing_ratio + startup_threshold / (video_length * bitrate)
     return math.ceil(download_ratio / precision) * precision
+
+
+def poisson_arrival_rate(rho: float, config: SimConfig, model: DepartureModel) -> float:
+    """Poisson arrival rate per slot for offered load `rho` on `config`'s
+    server, sized with `planning_viewing_ratio` of the model's mean viewing
+    ratio."""
+    estimate = planning_viewing_ratio(
+        model.mean_viewing_ratio,
+        config.video_length,
+        config.startup_threshold,
+        config.bitrate,
+    )
+    return load_to_arrival_rate(
+        rho, config.server_capacity, config.video_length, config.bitrate, estimate
+    )
 
 
 def export_ledgers(ledgers, path) -> None:

@@ -92,11 +92,7 @@ class MetricsReport:
         return asdict(self)
 
 
-def aggregate(
-    sessions: SessionLog | Sequence[SessionRecord],
-    ledgers,
-    slot_length: float = 1.0,
-) -> MetricsReport:
+def aggregate(sessions: SessionLog | Sequence[SessionRecord], ledgers) -> MetricsReport:
     """Fold departed sessions and slot ledgers into the five QoE metrics plus
     wasted and peak bandwidth.
 
@@ -111,8 +107,8 @@ def aggregate(
         return MetricsReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(peak), 0, 0.0, empty=True)
     _, freeze_count, freeze_time, play_time, waste = sessions.columns
     freezes = int(freeze_count.sum())
-    freeze_seconds = _sum_left_to_right(freeze_time) * slot_length
-    session_seconds = _sum_left_to_right(play_time + freeze_time) * slot_length
+    freeze_seconds = _sum_left_to_right(freeze_time)
+    session_seconds = _sum_left_to_right(play_time + freeze_time)
     return MetricsReport(
         percent_user=int(np.count_nonzero(freeze_count > 0)) / n,
         avg_n_freeze=freezes / n,
@@ -123,36 +119,6 @@ def aggregate(
         peak_bw=float(peak),
         sessions_completed=n,
         total_session_seconds=session_seconds,
-    )
-
-
-def merge(a: MetricsReport, b: MetricsReport) -> MetricsReport:
-    """Combine reports over disjoint session sets (parallel reduction)."""
-    if a.empty:
-        return b if not b.empty else MetricsReport(
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, max(a.peak_bw, b.peak_bw), 0, 0.0, empty=True
-        )
-    if b.empty:
-        a_peak = max(a.peak_bw, b.peak_bw)
-        return MetricsReport(
-            a.percent_user, a.avg_n_freeze, a.avg_t_freeze, a.freeze_ratio,
-            a.rate_freeze, a.wasted_bw, a_peak, a.sessions_completed,
-            a.total_session_seconds,
-        )
-    n = a.sessions_completed + b.sessions_completed
-    freezes = a.avg_n_freeze * a.sessions_completed + b.avg_n_freeze * b.sessions_completed
-    freeze_seconds = a.avg_t_freeze * a.sessions_completed + b.avg_t_freeze * b.sessions_completed
-    seconds = a.total_session_seconds + b.total_session_seconds
-    return MetricsReport(
-        percent_user=(a.percent_user * a.sessions_completed + b.percent_user * b.sessions_completed) / n,
-        avg_n_freeze=freezes / n,
-        avg_t_freeze=freeze_seconds / n,
-        freeze_ratio=freeze_seconds / seconds if seconds > 0 else 0.0,
-        rate_freeze=freezes / (seconds / 60.0) if seconds > 0 else 0.0,
-        wasted_bw=a.wasted_bw + b.wasted_bw,
-        peak_bw=max(a.peak_bw, b.peak_bw),
-        sessions_completed=n,
-        total_session_seconds=seconds,
     )
 
 

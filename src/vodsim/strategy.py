@@ -7,53 +7,22 @@ water-fills hazard-weighted buffers, and BB pins browsing-phase users to the
 bitrate and serves the rest best-effort (falling back to plain BE when the
 reservation would starve the viewing users).
 
-Every allocator is a pure function of its inputs.  The array-level *_rates
-functions are what the simulation engine calls; the allocate_* wrappers take
-UserView lists and return an Allocation.
+Every allocator is a pure function of a `PoolState` (one array per session
+field) and returns one rate per session, in pool order.  `make_allocator`
+binds a strategy's parameters for the simulation engine; the tests call the
+same *_rates functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .behavior import PhaseBoundary
 
 STRATEGY_NAMES = ("sc", "sc+", "be", "eb", "ew", "bb")
-
-
-@dataclass
-class UserView:
-    """One session's allocation-relevant state for the current slot."""
-
-    session_id: object
-    viewing_ratio: float
-    buffer_seconds: float
-    access_cap: float
-    remaining_demand: float
-    in_startup: bool = False
-    playing: bool = True  # False for frozen sessions (no playback this slot)
-
-    def __post_init__(self):
-        if self.buffer_seconds < 0:
-            raise ValueError("buffer_seconds must be nonnegative")
-        if not 0.0 <= self.viewing_ratio <= 1.0:
-            raise ValueError("viewing_ratio must lie in [0, 1]")
-        if self.access_cap <= 0:
-            raise ValueError("access_cap must be positive")
-
-
-@dataclass
-class Allocation:
-    """Per-session download rates for one slot."""
-
-    rates: dict = field(default_factory=dict)
-
-    def total(self) -> float:
-        return float(sum(self.rates.values()))
 
 
 class PoolState(NamedTuple):
@@ -159,11 +128,6 @@ def _fair_fill(caps, budget):
     return np.minimum(caps, level), float(level)
 
 
-def waterfill(demands, capacity):
-    """Max-min fair split of capacity under per-user demand caps."""
-    return _fair_fill(demands, capacity)[0]
-
-
 def sc_rates(pool: PoolState, C: float, bitrate: float, delta: float = 0.0) -> np.ndarray:
     """Simple rate control: demand capped at bitrate*(1+delta); startup users
     are served best-effort."""
@@ -171,12 +135,12 @@ def sc_rates(pool: PoolState, C: float, bitrate: float, delta: float = 0.0) -> n
         raise ValueError("delta must be nonnegative")
     d = np.minimum(pool.access_cap, pool.remaining)
     d = np.where(pool.in_startup, d, np.minimum(d, bitrate * (1.0 + delta)))
-    return waterfill(d, C)
+    return _fair_fill(d, C)[0]
 
 
 def be_rates(pool: PoolState, C: float) -> np.ndarray:
     """Best-effort progressive download: max-min fair over full demands."""
-    return waterfill(np.minimum(pool.access_cap, pool.remaining), C)
+    return _fair_fill(np.minimum(pool.access_cap, pool.remaining), C)[0]
 
 
 def _buffer_fill(
@@ -219,10 +183,12 @@ def eb_rates(pool: PoolState, C: float, bitrate: float) -> np.ndarray:
 
 
 def ew_rates(pool: PoolState, C: float, bitrate: float, hazard: np.ndarray) -> np.ndarray:
-    """Equal waste-rate streaming: equalize hazard * projected buffer."""
-    hazard = np.asarray(hazard, dtype=float)
-    if (hazard < 0).any() or (hazard > 1).any():
-        raise ValueError("hazard values must lie in [0, 1]")
+    """Equal waste-rate streaming: equalize hazard * projected buffer.
+
+    `hazard` holds one value in [0, 1] per session.  The engine passes
+    `DepartureModel.hazard_at(pool.ratio)`, entries of `DepartureRates.p`,
+    which was checked and clipped to [0, 1] when the model was built.
+    """
     return _buffer_fill(pool, C, bitrate, hazard)
 
 
@@ -248,52 +214,6 @@ def bb_rates(pool: PoolState, C: float, bitrate: float, boundary: PhaseBoundary)
         return be_rates(pool, C)
     rates[others] = x
     return rates
-
-
-def _pool_from_users(users: Sequence[UserView]) -> PoolState:
-    return PoolState(
-        buffer=np.array([u.buffer_seconds for u in users], dtype=float),
-        ratio=np.array([u.viewing_ratio for u in users], dtype=float),
-        access_cap=np.array([u.access_cap for u in users], dtype=float),
-        remaining=np.array([u.remaining_demand for u in users], dtype=float),
-        in_startup=np.array([u.in_startup for u in users], dtype=bool),
-        playing=np.array([u.playing and not u.in_startup for u in users], dtype=bool),
-    )
-
-
-def _to_allocation(users: Sequence[UserView], rates: np.ndarray) -> Allocation:
-    return Allocation({u.session_id: float(r) for u, r in zip(users, rates)})
-
-
-def allocate_sc(users, C, bitrate, delta: float = 0.0) -> Allocation:
-    if not users:
-        return Allocation()
-    return _to_allocation(users, sc_rates(_pool_from_users(users), C, bitrate, delta))
-
-
-def allocate_be(users, C) -> Allocation:
-    if not users:
-        return Allocation()
-    return _to_allocation(users, be_rates(_pool_from_users(users), C))
-
-
-def allocate_eb(users, C, bitrate) -> Allocation:
-    if not users:
-        return Allocation()
-    return _to_allocation(users, eb_rates(_pool_from_users(users), C, bitrate))
-
-
-def allocate_ew(users, C, bitrate, f: Callable[[float], float]) -> Allocation:
-    if not users:
-        return Allocation()
-    hazard = np.array([f(u.viewing_ratio) for u in users], dtype=float)
-    return _to_allocation(users, ew_rates(_pool_from_users(users), C, bitrate, hazard))
-
-
-def allocate_bb(users, C, bitrate, boundary: PhaseBoundary) -> Allocation:
-    if not users:
-        return Allocation()
-    return _to_allocation(users, bb_rates(_pool_from_users(users), C, bitrate, boundary))
 
 
 def make_allocator(name: str, bitrate: float, model=None):

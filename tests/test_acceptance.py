@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from vodsim import analysis, arrivals, behavior, cli, engine
-from vodsim.strategy import STRATEGY_NAMES, UserView, allocate_eb, allocate_ew
+from vodsim.strategy import STRATEGY_NAMES, PoolState, eb_rates, ew_rates
 
 TABLE_STRATEGIES = ("sc", "sc+", "be", "bb")
 
@@ -252,22 +252,26 @@ def test_criterion_9_ew_generalizes_eb():
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(1, 7))
+        # Each user's six values are drawn in turn: ratio, buffer, access
+        # cap, remaining demand, startup, playing.
         users = [
-            UserView(
-                session_id=i,
-                viewing_ratio=float(rng.random()),
-                buffer_seconds=float(rng.uniform(0.0, 10.0)),
-                access_cap=float(rng.uniform(0.5, 3.0)),
-                remaining_demand=float(rng.uniform(0.0, 5.0)),
-                in_startup=bool(rng.random() < 0.2),
-                playing=bool(rng.random() < 0.9),
+            (
+                float(rng.random()),
+                float(rng.uniform(0.0, 10.0)),
+                float(rng.uniform(0.5, 3.0)),
+                float(rng.uniform(0.0, 5.0)),
+                bool(rng.random() < 0.2),
+                bool(rng.random() < 0.9),
             )
-            for i in range(n)
+            for _ in range(n)
         ]
+        ratio, buffer, cap, remaining, startup, playing = (np.array(c) for c in zip(*users))
+        pool = PoolState(buffer=buffer, ratio=ratio, access_cap=cap, remaining=remaining,
+                         in_startup=startup, playing=playing & ~startup)
         C = float(rng.uniform(0.5, 2.0 * n))
-        ew = allocate_ew(users, C, 1.0, lambda v: hazard)
-        eb = allocate_eb(users, C, 1.0)
-        if ew.rates != eb.rates:
+        ew = ew_rates(pool, C, 1.0, np.full(n, hazard))
+        eb = eb_rates(pool, C, 1.0)
+        if not np.array_equal(ew, eb):
             mismatches += 1
     ok = mismatches == 0
     _report(9, "constant-hazard EW equals EB exactly, 1000 random inputs",

@@ -77,6 +77,16 @@ class TestInvariantValidation:
         with pytest.raises(ValueError):
             DepartureRates([0.2, 0.5])
 
+    @pytest.mark.parametrize("p", [[-0.1, 1.0], [0.5, 1.5], [1.2]])
+    def test_rejects_hazard_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"hazard rates must lie in \[0, 1\]"):
+            DepartureRates(p)
+
+    def test_clips_round_off_into_unit_interval(self):
+        # ew_rates reads these entries unchecked, so they must lie in [0, 1].
+        r = DepartureRates([-1e-13, 0.5, 1.0 + 1e-13])
+        assert r.p.tolist() == [0.0, 0.5, 1.0]
+
     def test_rejects_decreasing_cdf(self):
         with pytest.raises(ValueError):
             ViewingRatioCdf([0.5, 0.4, 1.0])

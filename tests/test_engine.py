@@ -5,9 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vodsim import arrivals, behavior, engine
 from vodsim.engine import SimConfig, World, load_to_arrival_rate, planning_viewing_ratio
+from vodsim.strategy import STRATEGY_NAMES
 
 
 def _no_departure_model(L=20):
@@ -36,6 +39,22 @@ class TestLoadConversion:
             load_to_arrival_rate(0.0, 1000.0, 300, 1.0, 1.0)
         with pytest.raises(ValueError):
             load_to_arrival_rate(0.995, 1000.0, 300, 1.0, 0.0)
+
+
+class TestPoissonArrivalRate:
+    @pytest.mark.parametrize("rho, cfg", [
+        (0.995, SimConfig()),
+        (0.5, SimConfig(server_capacity=50.0, video_length=100)),
+        (1.2, SimConfig(bitrate=2.5, server_capacity=300.0, video_length=120,
+                        startup_threshold=4.0)),
+    ])
+    def test_equals_the_two_step_chain(self, rho, cfg):
+        model = behavior.DepartureModel.synthetic(L=cfg.video_length)
+        estimate = planning_viewing_ratio(model.mean_viewing_ratio, cfg.video_length,
+                                          cfg.startup_threshold, cfg.bitrate)
+        expected = load_to_arrival_rate(rho, cfg.server_capacity, cfg.video_length,
+                                        cfg.bitrate, estimate)
+        assert engine.poisson_arrival_rate(rho, cfg, model) == expected
 
 
 class TestPlanningViewingRatio:
@@ -207,43 +226,36 @@ class TestConfigValidation:
         assert len(lines) == 51
 
 
-class TestSlotInvariants:
-    """Per-slot invariants of every strategy, read through a wrapped
-    `engine.make_allocator` and `engine._compact` (no `World` option)."""
+def _check_every_slot(cfg, strategy, model, counts):
+    """Run a World over `counts` arrivals and check every slot's invariants,
+    read through a wrapped `engine.make_allocator` and `engine._compact` (no
+    `World` option).  Returns the number of slots where capacity binds."""
+    slot = {}
+    real_make_allocator, real_compact = engine.make_allocator, engine._compact
 
-    @pytest.mark.parametrize("mode", ["freeze", "skip"])
-    @pytest.mark.parametrize("strategy", ["sc", "sc+", "be", "eb", "ew", "bb"])
-    def test_invariants_hold_every_slot(self, strategy, mode, monkeypatch):
-        cfg = SimConfig(server_capacity=40.0, video_length=60, playback_model=mode,
-                        duration=500, warmup=0, seed=7)
-        model = behavior.DepartureModel.synthetic(L=60)
-        lam = load_to_arrival_rate(1.2, 40.0, 60, 1.0, model.mean_viewing_ratio)
-        counts = arrivals.ArrivalProcess.poisson(lam).generate(500, np.random.default_rng(7))
-        slot = {}
-        real_make_allocator, real_compact = engine.make_allocator, engine._compact
+    def make_allocator(*args):
+        alloc = real_make_allocator(*args)
 
-        def make_allocator(*args):
-            alloc = real_make_allocator(*args)
+        def checked(pool, C):
+            rates = alloc(pool, C)
+            slot["before"] = _columns(world, copy=True)
+            slot["rates"] = rates
+            assert np.all(rates >= 0.0)
+            assert np.all(rates <= np.minimum(pool.access_cap, pool.remaining) * (1 + 1e-12))
+            assert rates.sum() <= C * (1 + 1e-9)
+            return rates
+        return checked
 
-            def checked(pool, C):
-                rates = alloc(pool, C)
-                slot["before"] = _columns(world, copy=True)
-                slot["rates"] = rates
-                assert np.all(rates >= 0.0)
-                assert np.all(rates <= np.minimum(pool.access_cap, pool.remaining) * (1 + 1e-12))
-                assert rates.sum() <= C * (1 + 1e-9)
-                return rates
-            return checked
+    def compact(slab, n, gone):
+        slot["after_download"] = _columns(world, copy=True)
+        slot["departing"] = np.isin(np.arange(n), gone)
+        return real_compact(slab, n, gone)
 
-        def compact(slab, n, gone):
-            slot["after_download"] = _columns(world, copy=True)
-            slot["departing"] = np.isin(np.arange(n), gone)
-            return real_compact(slab, n, gone)
-
-        monkeypatch.setattr(engine, "make_allocator", make_allocator)
-        monkeypatch.setattr(engine, "_compact", compact)
+    binding = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "make_allocator", make_allocator)
+        mp.setattr(engine, "_compact", compact)
         world = World(cfg, strategy, model)
-        binding = 0
         for c in counts:
             slot.clear()
             world.step(int(c))
@@ -259,7 +271,46 @@ class TestSlotInvariants:
                 assert np.all(after["buffer"] >= 0.0)
                 assert np.all(np.isin(after["state"], (engine.STARTUP, engine.PLAYING, engine.FROZEN)))
             assert np.all(np.diff(_columns(world)["arrival"]) >= 0)
+    return binding
+
+
+class TestSlotInvariants:
+    """Per-slot invariants of every strategy, on one overloaded config and on
+    random ones."""
+
+    @pytest.mark.parametrize("mode", ["freeze", "skip"])
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_invariants_hold_every_slot(self, strategy, mode):
+        cfg = SimConfig(server_capacity=40.0, video_length=60, playback_model=mode,
+                        duration=500, warmup=0, seed=7)
+        model = behavior.DepartureModel.synthetic(L=60)
+        lam = load_to_arrival_rate(1.2, 40.0, 60, 1.0, model.mean_viewing_ratio)
+        counts = arrivals.ArrivalProcess.poisson(lam).generate(500, np.random.default_rng(7))
+        binding = _check_every_slot(cfg, strategy, model, counts)
         assert binding > 100  # capacity binds, so the fills take their sort paths
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    @given(
+        rho=st.floats(min_value=0.3, max_value=1.5),
+        capacity=st.floats(min_value=5.0, max_value=40.0),
+        L=st.integers(min_value=10, max_value=60),
+        mode=st.sampled_from(["freeze", "skip"]),
+        startup=st.floats(min_value=0.5, max_value=6.0),
+        rebuffer=st.floats(min_value=0.5, max_value=6.0),
+        trigger_share=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_invariants_hold_on_random_configs(self, strategy, rho, capacity, L, mode,
+                                               startup, rebuffer, trigger_share, seed):
+        cfg = SimConfig(server_capacity=capacity, video_length=L, playback_model=mode,
+                        startup_threshold=startup, rebuffer_threshold=rebuffer,
+                        freeze_trigger=trigger_share * rebuffer,
+                        duration=300, warmup=0, seed=seed)
+        model = behavior.DepartureModel.synthetic(L=L)
+        lam = engine.poisson_arrival_rate(rho, cfg, model)
+        counts = arrivals.ArrivalProcess.poisson(lam).generate(300, np.random.default_rng(seed))
+        _check_every_slot(cfg, strategy, model, counts)
 
 
 def _filled_world(n, seed=0):

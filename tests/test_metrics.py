@@ -1,4 +1,4 @@
-"""QoE metric aggregation, merging, and serialization tests."""
+"""QoE metric aggregation and serialization tests."""
 
 import json
 
@@ -11,7 +11,6 @@ from vodsim.metrics import (
     SessionRecord,
     aggregate,
     csv_row,
-    merge,
     reports_to_json,
 )
 from vodsim.engine import SlotLedger
@@ -79,35 +78,6 @@ class TestInvariants:
         sessions = [SessionRecord(0, 0, 0.0, 10.0, 0.0)]
         report = aggregate(sessions, [])
         assert report.freeze_ratio == report.avg_t_freeze == report.rate_freeze == 0.0
-
-
-class TestMerge:
-    def _random_sessions(self, rng, n):
-        out = []
-        for _ in range(n):
-            fc = int(rng.integers(0, 4))
-            ft = float(rng.uniform(1, 5)) if fc else 0.0
-            out.append(SessionRecord(0, fc, ft, float(rng.uniform(1, 50)), float(rng.uniform(0, 9))))
-        return out
-
-    def test_decomposable(self):
-        rng = np.random.default_rng(42)
-        a = self._random_sessions(rng, 13)
-        b = self._random_sessions(rng, 7)
-        combined = aggregate(a + b, [_ledger(0, 5.0)])
-        merged = merge(aggregate(a, [_ledger(0, 5.0)]), aggregate(b, [_ledger(1, 3.0)]))
-        for field in ("percent_user", "avg_n_freeze", "avg_t_freeze",
-                      "freeze_ratio", "rate_freeze", "wasted_bw", "peak_bw"):
-            assert getattr(merged, field) == pytest.approx(getattr(combined, field))
-        assert merged.sessions_completed == combined.sessions_completed
-
-    def test_merge_with_empty(self):
-        rng = np.random.default_rng(43)
-        a = aggregate(self._random_sessions(rng, 5), [_ledger(0, 4.0)])
-        empty = aggregate([], [_ledger(0, 9.0)])
-        merged = merge(a, empty)
-        assert merged.sessions_completed == a.sessions_completed
-        assert merged.peak_bw == 9.0
 
 
 class TestSerialization:

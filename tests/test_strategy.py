@@ -12,49 +12,42 @@ from vodsim.behavior import PhaseBoundary
 from vodsim.strategy import (
     STRATEGY_NAMES,
     PoolState,
-    UserView,
     _buffer_fill,
     _fair_fill,
     _level_fill,
-    allocate_bb,
-    allocate_be,
-    allocate_eb,
-    allocate_ew,
-    allocate_sc,
+    bb_rates,
+    be_rates,
+    eb_rates,
+    ew_rates,
     make_allocator,
-    waterfill,
+    sc_rates,
 )
 
 BIG = 1e6  # remaining demand stand-in for "far from file end"
 
 
-def _users(buffers=None, caps=None, ratios=None, remaining=None, n=None,
-           in_startup=False, playing=True):
-    n = n or len(buffers or caps or ratios or remaining)
-    buffers = buffers or [0.0] * n
-    caps = caps or [2.0] * n
-    ratios = ratios or [0.5] * n
-    remaining = remaining or [BIG] * n
-    return [
-        UserView(i, ratios[i], buffers[i], caps[i], remaining[i],
-                 in_startup=in_startup, playing=playing)
-        for i in range(n)
-    ]
-
-
-def _rates(alloc, n):
-    return [alloc.rates[i] for i in range(n)]
+def _pool(n=None, *, buffers=0.0, caps=2.0, ratios=0.5, remaining=BIG,
+          in_startup=False, playing=True):
+    """A PoolState of n sessions.  Each field takes one value per session or
+    one value for all; n defaults to the length of the per-session fields.
+    As in the engine, a startup session never plays."""
+    values = (buffers, ratios, caps, remaining, in_startup, playing)
+    n = n or max(np.size(v) for v in values)
+    buffer, ratio, cap, rem = (np.broadcast_to(np.asarray(v, dtype=float), n).copy()
+                               for v in values[:4])
+    startup, play = (np.broadcast_to(np.asarray(v, dtype=bool), n).copy() for v in values[4:])
+    return PoolState(buffer, ratio, cap, rem, startup, play & ~startup)
 
 
 class TestWaterfill:
     def test_slack(self):
-        np.testing.assert_allclose(waterfill(np.array([1.0, 2.0]), 10.0), [1.0, 2.0])
+        np.testing.assert_allclose(_fair_fill(np.array([1.0, 2.0]), 10.0)[0], [1.0, 2.0])
 
     def test_scarce_equal_split(self):
-        np.testing.assert_allclose(waterfill(np.array([2.0, 2.0, 2.0]), 2.0), [2 / 3] * 3)
+        np.testing.assert_allclose(_fair_fill(np.array([2.0, 2.0, 2.0]), 2.0)[0], [2 / 3] * 3)
 
     def test_cap_binds_then_split(self):
-        np.testing.assert_allclose(waterfill(np.array([0.5, 2.0, 2.0]), 3.0), [0.5, 1.25, 1.25])
+        np.testing.assert_allclose(_fair_fill(np.array([0.5, 2.0, 2.0]), 3.0)[0], [0.5, 1.25, 1.25])
 
 
 class TestFairFill:
@@ -132,104 +125,103 @@ class TestLeanFill:
 
 class TestSC:
     def test_capacity_slack(self):
-        alloc = allocate_sc(_users(n=3), C=10.0, bitrate=1.0)
-        assert _rates(alloc, 3) == [1.0, 1.0, 1.0]
+        rates = sc_rates(_pool(3), C=10.0, bitrate=1.0)
+        assert rates.tolist() == [1.0, 1.0, 1.0]
 
     def test_scarce_equal_split(self):
-        alloc = allocate_sc(_users(n=3), C=2.0, bitrate=1.0)
-        np.testing.assert_allclose(_rates(alloc, 3), [2 / 3] * 3)
+        rates = sc_rates(_pool(3), C=2.0, bitrate=1.0)
+        np.testing.assert_allclose(rates, [2 / 3] * 3)
 
     def test_plus_variant_overprovisions(self):
-        alloc = allocate_sc(_users(n=2), C=10.0, bitrate=1.0, delta=0.05)
-        np.testing.assert_allclose(_rates(alloc, 2), [1.05, 1.05])
+        rates = sc_rates(_pool(2), C=10.0, bitrate=1.0, delta=0.05)
+        np.testing.assert_allclose(rates, [1.05, 1.05])
 
     def test_not_work_conserving(self):
-        alloc = allocate_sc(_users(n=2), C=10.0, bitrate=1.0)
-        assert sum(alloc.rates.values()) == pytest.approx(2.0)
+        rates = sc_rates(_pool(2), C=10.0, bitrate=1.0)
+        assert rates.sum() == pytest.approx(2.0)
 
 
 class TestBE:
     def test_symmetric(self):
-        alloc = allocate_be(_users(caps=[2.0, 2.0, 2.0]), C=3.0)
-        np.testing.assert_allclose(_rates(alloc, 3), [1.0, 1.0, 1.0])
+        rates = be_rates(_pool(caps=[2.0, 2.0, 2.0]), C=3.0)
+        np.testing.assert_allclose(rates, [1.0, 1.0, 1.0])
 
     def test_cap_binds(self):
-        alloc = allocate_be(_users(caps=[0.5, 2.0, 2.0]), C=3.0)
-        np.testing.assert_allclose(_rates(alloc, 3), [0.5, 1.25, 1.25])
+        rates = be_rates(_pool(caps=[0.5, 2.0, 2.0]), C=3.0)
+        np.testing.assert_allclose(rates, [0.5, 1.25, 1.25])
 
     def test_single_user(self):
-        alloc = allocate_be(_users(caps=[2.0]), C=10.0)
-        assert _rates(alloc, 1) == [2.0]
+        rates = be_rates(_pool(caps=[2.0]), C=10.0)
+        assert rates.tolist() == [2.0]
 
 
 class TestEB:
     def test_equalizes_projected_buffers(self):
-        alloc = allocate_eb(_users(buffers=[0.0, 2.0, 4.0]), C=3.0, bitrate=1.0)
-        np.testing.assert_allclose(_rates(alloc, 3), [2.0, 1.0, 0.0])
+        rates = eb_rates(_pool(buffers=[0.0, 2.0, 4.0]), C=3.0, bitrate=1.0)
+        np.testing.assert_allclose(rates, [2.0, 1.0, 0.0])
 
     def test_already_equal(self):
-        alloc = allocate_eb(_users(buffers=[3.0, 3.0]), C=2.0, bitrate=1.0)
-        np.testing.assert_allclose(_rates(alloc, 2), [1.0, 1.0])
+        rates = eb_rates(_pool(buffers=[3.0, 3.0]), C=2.0, bitrate=1.0)
+        np.testing.assert_allclose(rates, [1.0, 1.0])
 
     def test_symmetric_split(self):
-        alloc = allocate_eb(_users(buffers=[0.0, 0.0]), C=1.0, bitrate=1.0)
-        np.testing.assert_allclose(_rates(alloc, 2), [0.5, 0.5])
+        rates = eb_rates(_pool(buffers=[0.0, 0.0]), C=1.0, bitrate=1.0)
+        np.testing.assert_allclose(rates, [0.5, 0.5])
 
 
 class TestEW:
     def test_equalizes_waste_rates(self):
-        users = _users(buffers=[1.0, 1.0], caps=[10.0, 10.0], ratios=[0.1, 0.9])
-        f = lambda v: 0.2 if v < 0.5 else 0.1
-        alloc = allocate_ew(users, C=2.0, bitrate=1.0, f=f)
-        np.testing.assert_allclose(_rates(alloc, 2), [2 / 3, 4 / 3])
+        pool = _pool(buffers=[1.0, 1.0], caps=[10.0, 10.0])
+        rates = ew_rates(pool, C=2.0, bitrate=1.0, hazard=np.array([0.2, 0.1]))
+        np.testing.assert_allclose(rates, [2 / 3, 4 / 3])
 
     def test_constant_hazard_reduces_to_eb(self):
-        users = _users(buffers=[0.3, 2.7, 1.1], caps=[1.5, 2.0, 2.0])
-        ew = allocate_ew(users, C=2.5, bitrate=1.0, f=lambda v: 0.1)
-        eb = allocate_eb(users, C=2.5, bitrate=1.0)
-        assert ew.rates == eb.rates
+        pool = _pool(buffers=[0.3, 2.7, 1.1], caps=[1.5, 2.0, 2.0])
+        ew = ew_rates(pool, C=2.5, bitrate=1.0, hazard=np.full(3, 0.1))
+        eb = eb_rates(pool, C=2.5, bitrate=1.0)
+        assert np.array_equal(ew, eb)
 
     def test_single_user(self):
-        alloc = allocate_ew(_users(caps=[2.0]), C=10.0, bitrate=1.0, f=lambda v: 0.5)
-        assert _rates(alloc, 1) == [2.0]
+        rates = ew_rates(_pool(caps=[2.0]), C=10.0, bitrate=1.0, hazard=np.array([0.5]))
+        assert rates.tolist() == [2.0]
 
     def test_zero_hazard_users_filled_last(self):
-        users = _users(buffers=[0.0, 0.0], caps=[2.0, 2.0], ratios=[0.1, 0.9])
-        f = lambda v: 0.2 if v < 0.5 else 0.0
+        pool = _pool(buffers=[0.0, 0.0], caps=[2.0, 2.0])
+        hazard = np.array([0.2, 0.0])
         # Zero-hazard users cannot raise waste, so the positive-hazard user
         # is served first and user 1 only receives the leftover capacity.
-        scarce = allocate_ew(users, C=1.0, bitrate=1.0, f=f)
-        assert scarce.rates[0] == pytest.approx(1.0)
-        assert scarce.rates[1] == pytest.approx(0.0)
-        ample = allocate_ew(users, C=3.0, bitrate=1.0, f=f)
-        assert ample.rates[0] == pytest.approx(2.0)
-        assert ample.rates[1] == pytest.approx(1.0)
+        scarce = ew_rates(pool, C=1.0, bitrate=1.0, hazard=hazard)
+        assert scarce[0] == pytest.approx(1.0)
+        assert scarce[1] == pytest.approx(0.0)
+        ample = ew_rates(pool, C=3.0, bitrate=1.0, hazard=hazard)
+        assert ample[0] == pytest.approx(2.0)
+        assert ample[1] == pytest.approx(1.0)
 
 
 class TestBB:
     BOUNDARY = PhaseBoundary(0.15)
 
     def test_browsing_pinned_to_bitrate(self):
-        users = _users(ratios=[0.05, 0.5, 0.8])
-        alloc = allocate_bb(users, C=4.0, bitrate=1.0, boundary=self.BOUNDARY)
-        np.testing.assert_allclose(_rates(alloc, 3), [1.0, 1.5, 1.5])
+        pool = _pool(ratios=[0.05, 0.5, 0.8])
+        rates = bb_rates(pool, C=4.0, bitrate=1.0, boundary=self.BOUNDARY)
+        np.testing.assert_allclose(rates, [1.0, 1.5, 1.5])
 
     def test_fallback_when_viewers_starved(self):
-        users = _users(ratios=[0.05, 0.5, 0.8])
-        alloc = allocate_bb(users, C=2.5, bitrate=1.0, boundary=self.BOUNDARY)
-        np.testing.assert_allclose(_rates(alloc, 3), [2.5 / 3] * 3)
-        assert alloc.rates == allocate_be(users, C=2.5).rates
+        pool = _pool(ratios=[0.05, 0.5, 0.8])
+        rates = bb_rates(pool, C=2.5, bitrate=1.0, boundary=self.BOUNDARY)
+        np.testing.assert_allclose(rates, [2.5 / 3] * 3)
+        assert np.array_equal(rates, be_rates(pool, C=2.5))
 
     def test_no_browsing_users_equals_be(self):
-        users = _users(ratios=[0.5, 0.8], buffers=[1.0, 2.0])
-        alloc = allocate_bb(users, C=1.7, bitrate=1.0, boundary=self.BOUNDARY)
-        assert alloc.rates == allocate_be(users, C=1.7).rates
+        pool = _pool(ratios=[0.5, 0.8], buffers=[1.0, 2.0])
+        rates = bb_rates(pool, C=1.7, bitrate=1.0, boundary=self.BOUNDARY)
+        assert np.array_equal(rates, be_rates(pool, C=1.7))
 
     def test_startup_user_not_browsing(self):
         # A startup user below the boundary is pooled with viewers, not pinned.
-        users = _users(ratios=[0.0, 0.5], in_startup=True)
-        alloc = allocate_bb(users, C=4.0, bitrate=1.0, boundary=self.BOUNDARY)
-        assert alloc.rates == allocate_be(users, C=4.0).rates
+        pool = _pool(ratios=[0.0, 0.5], in_startup=True)
+        rates = bb_rates(pool, C=4.0, bitrate=1.0, boundary=self.BOUNDARY)
+        assert np.array_equal(rates, be_rates(pool, C=4.0))
 
 
 users_strategy = st.integers(min_value=1, max_value=6).flatmap(
@@ -246,65 +238,58 @@ users_strategy = st.integers(min_value=1, max_value=6).flatmap(
 
 def _build(case):
     buffers, caps, ratios, remaining, startups, C = case
-    users = [
-        UserView(i, ratios[i], buffers[i], caps[i], remaining[i],
-                 in_startup=startups[i], playing=not startups[i])
-        for i in range(len(buffers))
-    ]
-    return users, C
+    pool = _pool(buffers=buffers, caps=caps, ratios=ratios, remaining=remaining,
+                 in_startup=startups)
+    return pool, C
 
 
-def _all_allocations(users, C):
-    f = lambda v: 0.5 * (1.0 - v) + 0.01
-    yield allocate_sc(users, C, bitrate=1.0), "sc"
-    yield allocate_sc(users, C, bitrate=1.0, delta=0.05), "sc+"
-    yield allocate_be(users, C), "be"
-    yield allocate_eb(users, C, bitrate=1.0), "eb"
-    yield allocate_ew(users, C, bitrate=1.0, f=f), "ew"
-    yield allocate_bb(users, C, bitrate=1.0, boundary=PhaseBoundary(0.15)), "bb"
+def _hazard(pool):
+    return 0.5 * (1.0 - pool.ratio) + 0.01
+
+
+def _all_allocations(pool, C):
+    yield sc_rates(pool, C, bitrate=1.0), "sc"
+    yield sc_rates(pool, C, bitrate=1.0, delta=0.05), "sc+"
+    yield be_rates(pool, C), "be"
+    yield eb_rates(pool, C, bitrate=1.0), "eb"
+    yield ew_rates(pool, C, bitrate=1.0, hazard=_hazard(pool)), "ew"
+    yield bb_rates(pool, C, bitrate=1.0, boundary=PhaseBoundary(0.15)), "bb"
 
 
 class TestAllocatorProperties:
     @given(users_strategy)
     @settings(max_examples=150, deadline=None)
     def test_feasibility(self, case):
-        users, C = _build(case)
-        for alloc, name in _all_allocations(users, C):
-            total = sum(alloc.rates.values())
-            assert total <= C + 1e-9, name
-            for u in users:
-                r = alloc.rates[u.session_id]
-                assert -1e-12 <= r <= min(u.access_cap, u.remaining_demand) + 1e-9, name
+        pool, C = _build(case)
+        demand = np.minimum(pool.access_cap, pool.remaining)
+        for rates, name in _all_allocations(pool, C):
+            assert rates.sum() <= C + 1e-9, name
+            assert np.all(rates >= -1e-12), name
+            assert np.all(rates <= demand + 1e-9), name
 
     @given(users_strategy)
     @settings(max_examples=150, deadline=None)
     def test_work_conservation(self, case):
-        users, C = _build(case)
-        demand = sum(min(u.access_cap, u.remaining_demand) for u in users)
-        if demand < C:
+        pool, C = _build(case)
+        demand = np.minimum(pool.access_cap, pool.remaining)
+        if demand.sum() < C:
             return
-        f = lambda v: 0.5 * (1.0 - v) + 0.01
         conserving = [
-            ("be", allocate_be(users, C)),
-            ("eb", allocate_eb(users, C, bitrate=1.0)),
-            ("ew", allocate_ew(users, C, bitrate=1.0, f=f)),
+            ("be", be_rates(pool, C)),
+            ("eb", eb_rates(pool, C, bitrate=1.0)),
+            ("ew", ew_rates(pool, C, bitrate=1.0, hazard=_hazard(pool))),
         ]
         # BB deliberately pins browsing users to the bitrate, so it conserves
         # work only when the non-browsing pool can absorb the residual.
-        browsing_demand = sum(
-            min(u.access_cap, u.remaining_demand, 1.0)
-            for u in users if not u.in_startup and u.viewing_ratio < 0.15
-        )
-        other_demand = sum(
-            min(u.access_cap, u.remaining_demand)
-            for u in users if u.in_startup or u.viewing_ratio >= 0.15
-        )
+        browsing = ~pool.in_startup & (pool.ratio < 0.15)
+        browsing_demand = np.minimum(demand, 1.0)[browsing].sum()
+        other_demand = demand[~browsing].sum()
         if browsing_demand + other_demand >= C:
             conserving.append(
-                ("bb", allocate_bb(users, C, bitrate=1.0, boundary=PhaseBoundary(0.15)))
+                ("bb", bb_rates(pool, C, bitrate=1.0, boundary=PhaseBoundary(0.15)))
             )
-        for name, alloc in conserving:
-            assert sum(alloc.rates.values()) == pytest.approx(C, abs=1e-9), name
+        for name, rates in conserving:
+            assert rates.sum() == pytest.approx(C, abs=1e-9), name
 
     @given(
         st.floats(min_value=0.1, max_value=3.0),
@@ -314,9 +299,8 @@ class TestAllocatorProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_be_symmetry(self, cap, remaining, C, n):
-        users = [UserView(i, 0.5, float(i), cap, remaining) for i in range(n)]
-        alloc = allocate_be(users, C)
-        rates = set(round(r, 12) for r in alloc.rates.values())
+        pool = _pool(buffers=np.arange(n, dtype=float), caps=cap, remaining=remaining)
+        rates = set(round(r, 12) for r in be_rates(pool, C).tolist())
         assert len(rates) == 1
 
 
@@ -336,32 +320,27 @@ class TestGridOracles:
         buffers = rng.uniform(0.0, 3.0, size=n)
         caps = rng.choice([0.3, 0.6, 0.9], size=n)
         C = self.GRID * int(rng.integers(4, 25))
-        users = [UserView(i, 0.5, float(buffers[i]), float(caps[i]), BIG)
-                 for i in range(n)]
-        return users, caps, buffers, C
+        return _pool(buffers=buffers, caps=caps), caps, buffers, C
 
     def test_eb_matches_exhaustive_search(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             n = int(rng.integers(2, 4))
-            users, caps, buffers, C = self._random_case(rng, n)
+            pool, caps, buffers, C = self._random_case(rng, n)
             best_min = max(
                 (buffers + r - 1.0).min()
                 for r in _grid_allocations(caps, C, self.GRID)
             )
-            alloc = allocate_eb(users, C, bitrate=1.0)
-            got = min(buffers[i] + alloc.rates[i] - 1.0 for i in range(n))
+            rates = eb_rates(pool, C, bitrate=1.0)
+            got = (buffers + rates - 1.0).min()
             assert got >= best_min - self.GRID - 1e-9
 
     def test_ew_matches_exhaustive_search(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             n = int(rng.integers(2, 4))
-            _, caps, buffers, C = self._random_case(rng, n)
+            pool, caps, buffers, C = self._random_case(rng, n)
             f_vals = rng.uniform(0.1, 1.0, size=n)
-            users = [UserView(i, i / n, float(buffers[i]), float(caps[i]), BIG)
-                     for i in range(n)]
-            lookup = {i / n: f_vals[i] for i in range(n)}
             # EW is work-conserving: compare only full-budget allocations.
             target = min(C, float(caps.sum()))
             full = [
@@ -369,8 +348,8 @@ class TestGridOracles:
                 if abs(r.sum() - target) <= 1e-9
             ]
             best_max = min((f_vals * (buffers + r - 1.0)).max() for r in full)
-            alloc = allocate_ew(users, C, bitrate=1.0, f=lambda v: lookup[v])
-            got = max(f_vals[i] * (buffers[i] + alloc.rates[i] - 1.0) for i in range(n))
+            rates = ew_rates(pool, C, bitrate=1.0, hazard=f_vals)
+            got = (f_vals * (buffers + rates - 1.0)).max()
             assert got <= best_max + self.GRID * f_vals.max() + 1e-9
 
 

@@ -14,7 +14,7 @@ from .behavior import (
     synthetic_model,
 )
 from .engine import SimConfig, World, load_to_arrival_rate, planning_viewing_ratio, run
-from .metrics import MetricsReport, SessionRecord, aggregate
+from .metrics import MetricsReport, SessionLog, aggregate
 
 __all__ = [
     "DepartureHistogram",
@@ -22,7 +22,7 @@ __all__ = [
     "DepartureRates",
     "MetricsReport",
     "PhaseBoundary",
-    "SessionRecord",
+    "SessionLog",
     "SimConfig",
     "ViewingRatioCdf",
     "World",

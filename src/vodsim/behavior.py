@@ -147,11 +147,15 @@ def sample_departure_slots(cdf: ViewingRatioCdf, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf.cdf, np.asarray(u, dtype=float), side="right") + 1
 
 
-def phase_boundary(rates, mass_fraction: float = 0.5) -> PhaseBoundary:
+# Share of the summed hazard rates that the browsing phase's slots cover.
+BROWSE_HAZARD_SHARE = 0.5
+
+
+def phase_boundary(rates) -> PhaseBoundary:
     """Demarcate the browsing phase from top hazard rates.
 
     Slots are selected in descending hazard order (earlier slot wins ties)
-    until their sum reaches mass_fraction of the total; the boundary is the
+    until their sum reaches BROWSE_HAZARD_SHARE of the total; the boundary is the
     largest selected slot divided by the video length.  The final slot (the
     forced completion spike) is excluded from selection.
     """
@@ -160,8 +164,6 @@ def phase_boundary(rates, mass_fraction: float = 0.5) -> PhaseBoundary:
         raise ValueError("empty rates")
     if np.any(p < 0):
         raise ValueError("hazard rates must be nonnegative")
-    if not 0.0 < mass_fraction < 1.0:
-        raise ValueError("mass_fraction must lie in (0, 1)")
     length = p.size
     candidates = p[:-1]
     total = float(candidates.sum())
@@ -169,7 +171,7 @@ def phase_boundary(rates, mass_fraction: float = 0.5) -> PhaseBoundary:
         return PhaseBoundary(0.0)
     order = np.argsort(-candidates, kind="stable")  # stable: earlier slot first on ties
     csum = np.cumsum(candidates[order])
-    k = int(np.argmax(csum >= mass_fraction * total - _EPS))
+    k = int(np.argmax(csum >= BROWSE_HAZARD_SHARE * total - _EPS))
     last_selected = int(order[: k + 1].max())
     return PhaseBoundary((last_selected + 1) / length)
 
@@ -235,13 +237,13 @@ class DepartureModel:
     mean_viewing_ratio: float
 
     @classmethod
-    def from_histogram(cls, h: DepartureHistogram, boundary_mass: float = 0.5) -> "DepartureModel":
+    def from_histogram(cls, h: DepartureHistogram) -> "DepartureModel":
         r = rates_from_histogram(h)
         return cls(
             histogram=h,
             rates=r,
             cdf=cdf_from_histogram(h),
-            boundary=phase_boundary(r, boundary_mass),
+            boundary=phase_boundary(r),
             mean_viewing_ratio=h.mean_viewing_ratio(),
         )
 

@@ -126,8 +126,6 @@ def _repetition_seeds(seed: int, repetitions: int) -> list[int]:
 def _experiment_rows(args, config, model, rho_values):
     """One (strategy, rho, report) row per requested combination."""
     if args.trace is None:
-        if args.target_fraction is not None:
-            raise ValueError("--target-fraction caps a trace run; it needs --trace")
         if math.isinf(config.server_capacity):
             raise ValueError(
                 "Poisson arrivals need a finite --capacity: rho is a share of it "
@@ -162,6 +160,8 @@ def _experiment_rows(args, config, model, rho_values):
 def cmd_run(args) -> int:
     if not args.strategy:
         raise SystemExit("at least one strategy is required")
+    if args.trace is None and args.target_fraction is not None:
+        raise ValueError("--target-fraction caps a trace run; it needs --trace")
     config = build_config(args)
     model = _build_model(args, config)
     rows, last = _experiment_rows(args, config, model, [args.rho])
@@ -179,9 +179,6 @@ def cmd_sweep(args) -> int:
         raise SystemExit("sweep needs positive rho values")
     config = build_config(args)
     model = _build_model(args, config)
-    args_trace = args.trace
-    if args_trace:
-        raise SystemExit("sweep varies rho and requires Poisson arrivals")
     rows, _ = _experiment_rows(args, config, model, rhos)
     _write_rows(rows, args.format, args.out)
     return 0
@@ -292,11 +289,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--capacity", type=_parse_capacity, default=None,
                        help="server capacity in Mb/s, or 'unlimited'")
-        p.add_argument("--trace", default=None, help="arrival trace file")
-        p.add_argument("--trace-scale", type=float, default=1.0)
         p.add_argument("--histogram", default=None, help="departure histogram file")
-        p.add_argument("--target-fraction", type=float, default=None,
-                       help="cap capacity at this fraction of SC's unlimited peak (trace mode)")
         p.add_argument("--duration", type=int, default=None)
         p.add_argument("--warmup", type=int, default=None)
         p.add_argument("--bitrate", type=float, default=None)
@@ -305,18 +298,23 @@ def main(argv=None) -> int:
         p.add_argument("--repetitions", type=_positive_int, default=1)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--ledger-out", default=None,
-                       help="write the last run's per-slot ledger table here")
 
     p_run = sub.add_parser("run", help="run one experiment per strategy")
     add_common(p_run)
     p_run.add_argument("--rho", type=float, default=0.995)
+    p_run.add_argument("--trace", default=None, help="arrival trace file")
+    p_run.add_argument("--trace-scale", type=float, default=1.0)
+    p_run.add_argument("--target-fraction", type=float, default=None,
+                       help="cap capacity at this fraction of SC's unlimited peak (trace mode)")
+    p_run.add_argument("--ledger-out", default=None,
+                       help="write the last run's per-slot ledger table here")
     p_run.set_defaults(func=cmd_run)
 
+    # A sweep varies rho, so its arrivals are always Poisson.
     p_sweep = sub.add_parser("sweep", help="sweep offered load")
     add_common(p_sweep)
     p_sweep.add_argument("--rho", required=True, help="comma-separated load points")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, trace=None)
 
     p_gen = sub.add_parser("gen", help="generate synthetic inputs")
     p_gen.add_argument("kind", choices=("trace", "histogram"))

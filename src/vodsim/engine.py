@@ -9,8 +9,8 @@ Active sessions live in one preallocated float64 block of nine rows that
 grows geometrically: buffer, downloaded, skipped, arrival, target, playback,
 freeze_count, freeze_time and state.  The integer rows hold slot counts and
 the state code, all far below 2**53, so float64 stores them exactly and the
-arithmetic on them (`playback / L`, `freeze_count += to_freeze`,
-`np.maximum(playback, target)`) gives the same bits as int64 columns would.
+arithmetic on them (`freeze_count += to_freeze`, `np.maximum(playback,
+target)`) gives the same bits as int64 columns would.
 Columns [0, n) are the n active sessions, oldest arrival first.  Admission
 writes the columns after them; playback and freeze updates are whole-row
 arithmetic over the first n columns.  A departure gathers the departing
@@ -24,7 +24,7 @@ float sums, so any reordering changes the output bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class World:
         config: SimConfig,
         strategy: str,
         model: DepartureModel,
-        departure_rng: np.random.Generator | None = None,
     ):
         config.validate()
         if model.slots != config.video_length:
@@ -123,11 +122,9 @@ class World:
         self.strategy = strategy
         self.model = model
         self._alloc = make_allocator(strategy, config.bitrate, model)
-        if departure_rng is None:
-            departure_rng = np.random.default_rng(
-                np.random.SeedSequence(config.seed).spawn(2)[1]
-            )
-        self._dep_rng = departure_rng
+        # The second of two substreams of the seed; `run` draws arrivals
+        # from the first.
+        self._dep_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
         self.slot = 0
         self.ledgers: list[SlotLedger] = []
         self.sessions = SessionLog()  # departed sessions, in departure order
@@ -136,7 +133,6 @@ class World:
         # in SLAB_ROWS.
         self._n = 0
         self._slab = np.zeros((len(SLAB_ROWS), 0))
-        self._access_cap = np.zeros(0)
 
     @property
     def active_count(self) -> int:
@@ -158,8 +154,6 @@ class World:
         slab = np.empty((len(SLAB_ROWS), size))
         slab[:, : self._n] = self._slab[:, : self._n]
         self._slab = slab
-        self._access_cap = np.full(size, self.config.access_cap)
-        self._access_cap.flags.writeable = False
 
     def step(self, n_arrivals: int = 0) -> SlotLedger:
         """Advance one slot: arrivals, allocation, download, playback, departures."""
@@ -175,14 +169,11 @@ class World:
             # Sessions playing at the start of the slot are the ones that try
             # to consume: those leaving startup or a freeze resume next slot.
             playing = state == PLAYING
-            pool = PoolState(
-                buffer=buffer,
-                ratio=playback / cfg.video_length,
-                access_cap=self._access_cap[:n],
-                remaining=np.maximum(cfg.file_size - downloaded, 0.0),
-                in_startup=in_startup,
-                playing=playing,
-            )
+            # The most each session can take this slot: its access link or
+            # what is left of its file, whichever is less.
+            cap = np.maximum(cfg.file_size - downloaded, 0.0)
+            np.minimum(cap, cfg.access_cap, out=cap)
+            pool = PoolState(buffer, playback, cap, in_startup, playing)
             rates = self._alloc(pool, cfg.server_capacity)
             ledger.bw_used = float(rates.sum())
             buffer += rates / cfg.bitrate
@@ -273,10 +264,9 @@ def run(
     window.  Identical inputs and seed give identical outputs.
     """
     config.validate()
-    seq = np.random.SeedSequence(config.seed)
-    arr_seq, dep_seq = seq.spawn(2)
+    arr_seq = np.random.SeedSequence(config.seed).spawn(2)[0]
     counts = arrival_process.generate(config.duration, np.random.default_rng(arr_seq))
-    world = World(config, strategy, model, departure_rng=np.random.default_rng(dep_seq))
+    world = World(config, strategy, model)
     for c in counts:
         world.step(int(c))
     w = config.warmup_slots
@@ -306,12 +296,15 @@ def load_to_arrival_rate(
     return rho * C / (bitrate * L * mean_viewing_ratio)
 
 
+# Step to which `planning_viewing_ratio` rounds the download ratio up.
+PLANNING_PRECISION = 0.01
+
+
 def planning_viewing_ratio(
     mean_viewing_ratio: float,
     video_length: int,
     startup_threshold: float = 2.0,
     bitrate: float = 1.0,
-    precision: float = 0.01,
 ) -> float:
     """Viewing-ratio estimate used when converting offered load to an
     arrival rate.
@@ -324,10 +317,10 @@ def planning_viewing_ratio(
     per-session download ratio up to the planning precision keeps every
     nominal load < 1 strictly subcritical.
     """
-    if video_length <= 0 or bitrate <= 0 or precision <= 0:
-        raise ValueError("video_length, bitrate and precision must be positive")
+    if video_length <= 0 or bitrate <= 0:
+        raise ValueError("video_length and bitrate must be positive")
     download_ratio = mean_viewing_ratio + startup_threshold / (video_length * bitrate)
-    return math.ceil(download_ratio / precision) * precision
+    return math.ceil(download_ratio / PLANNING_PRECISION) * PLANNING_PRECISION
 
 
 def poisson_arrival_rate(rho: float, config: SimConfig, model: DepartureModel) -> float:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -14,33 +13,20 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class SessionRecord:
-    """Per-session QoE facts, reported at departure."""
-
-    arrival_slot: int
-    freeze_count: int
-    freeze_time: float   # slots spent frozen
-    play_time: float     # slots of content actually played
-    waste: float         # downloaded-but-never-viewed content (rate*slot units)
-
-
 class SessionLog:
-    """Departed sessions as columns, one row per `SessionRecord` field, in
-    departure order.  The columns live in one float block that grows
-    geometrically; it supports len() and iterates as SessionRecords."""
+    """Per-session QoE facts, reported at departure, as columns in departure
+    order, one row per field of `FIELDS`.  freeze_time counts slots spent
+    frozen, play_time slots of content actually played, and waste the
+    downloaded-but-never-viewed content (rate*slot units).  The columns live
+    in one float block that grows geometrically; len() counts the sessions."""
 
-    FIELDS = tuple(f.name for f in fields(SessionRecord))
+    FIELDS = ("arrival_slot", "freeze_count", "freeze_time", "play_time", "waste")
 
     def __init__(self, columns=None):
         if columns is None:
             columns = np.zeros((len(self.FIELDS), 0))
         self._block = np.asarray(columns, dtype=float)
         self._n = self._block.shape[1]
-
-    @classmethod
-    def from_records(cls, records: Sequence[SessionRecord]) -> "SessionLog":
-        return cls([[getattr(s, name) for s in records] for name in cls.FIELDS])
 
     @property
     def columns(self) -> np.ndarray:
@@ -63,10 +49,6 @@ class SessionLog:
 
     def __len__(self) -> int:
         return self._n
-
-    def __iter__(self):
-        for a, fc, ft, play, waste in self.columns.T.tolist():
-            yield SessionRecord(int(a), int(fc), ft, play, waste)
 
 
 def _sum_left_to_right(x: np.ndarray) -> float:
@@ -92,7 +74,7 @@ class MetricsReport:
         return asdict(self)
 
 
-def aggregate(sessions: SessionLog | Sequence[SessionRecord], ledgers) -> MetricsReport:
+def aggregate(sessions: SessionLog, ledgers) -> MetricsReport:
     """Fold departed sessions and slot ledgers into the five QoE metrics plus
     wasted and peak bandwidth.
 
@@ -100,8 +82,6 @@ def aggregate(sessions: SessionLog | Sequence[SessionRecord], ledgers) -> Metric
     An empty session set yields an all-zero report flagged `empty`.
     """
     peak = max((l.bw_used for l in ledgers), default=0.0)
-    if not isinstance(sessions, SessionLog):
-        sessions = SessionLog.from_records(sessions)
     n = len(sessions)
     if n == 0:
         return MetricsReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(peak), 0, 0.0, empty=True)

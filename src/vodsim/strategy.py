@@ -20,8 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .behavior import PhaseBoundary
-
 STRATEGY_NAMES = ("sc", "sc+", "be", "eb", "ew", "bb")
 
 
@@ -29,9 +27,8 @@ class PoolState(NamedTuple):
     """Array view of all active sessions, as the engine sees them."""
 
     buffer: np.ndarray         # seconds of unplayed content
-    ratio: np.ndarray          # viewing ratio in [0, 1]
-    access_cap: np.ndarray     # per-user rate cap
-    remaining: np.ndarray      # max useful download this slot (rate units)
+    viewed: np.ndarray         # slots of content played so far
+    cap: np.ndarray            # most the session can take this slot (rate units)
     in_startup: np.ndarray     # bool
     playing: np.ndarray        # bool; False for startup and frozen sessions
 
@@ -133,14 +130,13 @@ def sc_rates(pool: PoolState, C: float, bitrate: float, delta: float = 0.0) -> n
     are served best-effort."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    d = np.minimum(pool.access_cap, pool.remaining)
-    d = np.where(pool.in_startup, d, np.minimum(d, bitrate * (1.0 + delta)))
+    d = np.where(pool.in_startup, pool.cap, np.minimum(pool.cap, bitrate * (1.0 + delta)))
     return _fair_fill(d, C)[0]
 
 
 def be_rates(pool: PoolState, C: float) -> np.ndarray:
     """Best-effort progressive download: max-min fair over full demands."""
-    return _fair_fill(np.minimum(pool.access_cap, pool.remaining), C)[0]
+    return _fair_fill(pool.cap, C)[0]
 
 
 def _buffer_fill(
@@ -153,7 +149,7 @@ def _buffer_fill(
     all positive-weight users reach the common level.
     """
     floors = pool.buffer - pool.playing
-    caps_sec = np.minimum(pool.access_cap, pool.remaining) / bitrate
+    caps_sec = pool.cap / bitrate
     budget_sec = C / bitrate if not math.isinf(C) else math.inf
     pos = None if weights is None else weights > 0
     if pos is None or pos.all():
@@ -186,19 +182,20 @@ def ew_rates(pool: PoolState, C: float, bitrate: float, hazard: np.ndarray) -> n
     """Equal waste-rate streaming: equalize hazard * projected buffer.
 
     `hazard` holds one value in [0, 1] per session.  The engine passes
-    `DepartureModel.hazard_at(pool.ratio)`, entries of `DepartureRates.p`,
+    `DepartureModel.hazard_at`, entries of `DepartureRates.p`,
     which was checked and clipped to [0, 1] when the model was built.
     """
     return _buffer_fill(pool, C, bitrate, hazard)
 
 
-def bb_rates(pool: PoolState, C: float, bitrate: float, boundary: PhaseBoundary) -> np.ndarray:
-    """Behavior-based streaming: pin browsing users to the bitrate, serve the
-    rest best-effort; fall back to plain BE if browsing would out-pace viewing."""
-    browsing = (~pool.in_startup) & (pool.ratio < boundary.boundary_ratio)
+def bb_rates(pool: PoolState, C: float, bitrate: float, browse_slots: int) -> np.ndarray:
+    """Behavior-based streaming: pin browsing users (fewer than
+    `browse_slots` slots viewed) to the bitrate, serve the rest best-effort;
+    fall back to plain BE if browsing would out-pace viewing."""
+    browsing = (~pool.in_startup) & (pool.viewed < browse_slots)
     if not browsing.any():
         return be_rates(pool, C)
-    d_all = np.minimum(pool.access_cap, pool.remaining)
+    d_all = pool.cap
     d_browse = np.minimum(d_all[browsing], bitrate)
     reserved = float(d_browse.sum())
     if reserved > C:
@@ -216,11 +213,10 @@ def bb_rates(pool: PoolState, C: float, bitrate: float, boundary: PhaseBoundary)
     return rates
 
 
-def make_allocator(name: str, bitrate: float, model=None):
+def make_allocator(name: str, bitrate: float, model):
     """Build the array-level allocator the engine drives each slot.
 
-    `model` (a DepartureModel) is required for ew (hazard lookup) and bb
-    (phase boundary).
+    `model` (a DepartureModel) gives ew its hazards and bb its phase boundary.
     """
     name = name.lower()
     if name == "sc":
@@ -231,13 +227,11 @@ def make_allocator(name: str, bitrate: float, model=None):
         return lambda pool, C: be_rates(pool, C)
     if name == "eb":
         return lambda pool, C: eb_rates(pool, C, bitrate)
+    L = model.slots
     if name == "ew":
-        if model is None:
-            raise ValueError("ew needs a departure model")
-        return lambda pool, C: ew_rates(pool, C, bitrate, model.hazard_at(pool.ratio))
+        return lambda pool, C: ew_rates(pool, C, bitrate, model.hazard_at(pool.viewed / L))
     if name == "bb":
-        if model is None:
-            raise ValueError("bb needs a departure model")
-        boundary = model.boundary
-        return lambda pool, C: bb_rates(pool, C, bitrate, boundary)
+        # Slot counts k in [0, L] with k / L below the boundary ratio.
+        browse_slots = int(np.searchsorted(np.arange(L + 1) / L, model.boundary.boundary_ratio))
+        return lambda pool, C: bb_rates(pool, C, bitrate, browse_slots)
     raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")

@@ -252,8 +252,8 @@ def test_criterion_9_ew_generalizes_eb():
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(1, 7))
-        # Each user's six values are drawn in turn: ratio, buffer, access
-        # cap, remaining demand, startup, playing.
+        # Each user's six values are drawn in turn: viewing ratio, buffer,
+        # access cap, remaining demand, startup, playing.
         users = [
             (
                 float(rng.random()),
@@ -266,7 +266,7 @@ def test_criterion_9_ew_generalizes_eb():
             for _ in range(n)
         ]
         ratio, buffer, cap, remaining, startup, playing = (np.array(c) for c in zip(*users))
-        pool = PoolState(buffer=buffer, ratio=ratio, access_cap=cap, remaining=remaining,
+        pool = PoolState(buffer=buffer, viewed=300 * ratio, cap=np.minimum(cap, remaining),
                          in_startup=startup, playing=playing & ~startup)
         C = float(rng.uniform(0.5, 2.0 * n))
         ew = ew_rates(pool, C, 1.0, np.full(n, hazard))

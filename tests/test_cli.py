@@ -128,6 +128,20 @@ class TestSweep:
         with pytest.raises(SystemExit):
             cli.main(["sweep", "--strategy", "be", "--rho", "0,-1"])
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--trace", "day.trace"),
+        ("--trace-scale", "2"),
+        ("--target-fraction", "0.9"),
+        ("--ledger-out", "ledger.csv"),
+    ])
+    def test_rejects_run_only_flags(self, tmp_path, monkeypatch, flag, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--strategy", "be", "--rho", "0.8", *SMALL,
+                      "--out", "sweep.csv", flag, value])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGen:
     def test_histogram_roundtrips_through_loader(self, tmp_path):

@@ -141,11 +141,11 @@ class TestAccounting:
         result = engine.run(
             cfg, "be", arrivals.ArrivalProcess.trace([1] + [0] * 59), model
         )
-        (session,) = result.sessions
-        assert session.play_time == 5
+        (_, _, _, (play_time,), (waste,)) = result.sessions.columns
+        assert play_time == 5
         downloaded = sum(l.bw_used for l in result.ledgers)
-        assert session.waste == pytest.approx(downloaded - 5.0)
-        assert session.waste == pytest.approx(sum(l.bw_wasted for l in result.ledgers))
+        assert waste == pytest.approx(downloaded - 5.0)
+        assert waste == pytest.approx(sum(l.bw_wasted for l in result.ledgers))
 
     def test_completed_full_viewing_wastes_nothing(self):
         cfg = SimConfig(server_capacity=10.0, video_length=20, duration=80, warmup=0)
@@ -153,8 +153,8 @@ class TestAccounting:
             cfg, "sc", arrivals.ArrivalProcess.trace([1] + [0] * 79),
             _no_departure_model(L=20),
         )
-        (session,) = result.sessions
-        assert session.waste == pytest.approx(0.0, abs=1e-9)
+        (waste,) = result.sessions.columns[4]
+        assert waste == pytest.approx(0.0, abs=1e-9)
 
 
 class TestStatisticalProperties:
@@ -238,10 +238,11 @@ def _check_every_slot(cfg, strategy, model, counts):
 
         def checked(pool, C):
             rates = alloc(pool, C)
-            slot["before"] = _columns(world, copy=True)
+            slot["before"] = before = _columns(world, copy=True)
             slot["rates"] = rates
+            cap = np.minimum(cfg.access_cap, cfg.file_size - before["downloaded"])
             assert np.all(rates >= 0.0)
-            assert np.all(rates <= np.minimum(pool.access_cap, pool.remaining) * (1 + 1e-12))
+            assert np.all(rates <= cap * (1 + 1e-12))
             assert rates.sum() <= C * (1 + 1e-9)
             return rates
         return checked

@@ -8,7 +8,7 @@ import pytest
 from vodsim.metrics import (
     CSV_HEADER,
     MetricsReport,
-    SessionRecord,
+    SessionLog,
     aggregate,
     csv_row,
     reports_to_json,
@@ -20,15 +20,21 @@ def _ledger(slot, bw):
     return SlotLedger(slot=slot, bw_used=bw)
 
 
+def _log(*sessions):
+    """A SessionLog of the given (arrival_slot, freeze_count, freeze_time,
+    play_time, waste) rows."""
+    return SessionLog(np.array(sessions, dtype=float).reshape(-1, 5).T)
+
+
 class TestAggregate:
     def test_worked_example(self):
         # Four sessions totaling 200 s; one saw 2 freezes lasting 10 s total.
-        sessions = [
-            SessionRecord(0, 2, 10.0, 40.0, 0.0),
-            SessionRecord(0, 0, 0.0, 50.0, 0.0),
-            SessionRecord(0, 0, 0.0, 50.0, 0.0),
-            SessionRecord(0, 0, 0.0, 50.0, 0.0),
-        ]
+        sessions = _log(
+            (0, 2, 10.0, 40.0, 0.0),
+            (0, 0, 0.0, 50.0, 0.0),
+            (0, 0, 0.0, 50.0, 0.0),
+            (0, 0, 0.0, 50.0, 0.0),
+        )
         report = aggregate(sessions, [])
         assert report.percent_user == 0.25
         assert report.avg_n_freeze == 0.5
@@ -37,22 +43,22 @@ class TestAggregate:
         assert report.rate_freeze == pytest.approx(0.6)
 
     def test_no_freezes_all_zero(self):
-        sessions = [SessionRecord(0, 0, 0.0, 30.0, 1.0)] * 3
+        sessions = _log(*[(0, 0, 0.0, 30.0, 1.0)] * 3)
         report = aggregate(sessions, [])
         assert (report.percent_user, report.avg_n_freeze, report.avg_t_freeze,
                 report.freeze_ratio, report.rate_freeze) == (0, 0, 0, 0, 0)
 
     def test_waste_is_summed(self):
-        report = aggregate([SessionRecord(0, 0, 0.0, 150.0, 150.0)], [])
+        report = aggregate(_log((0, 0, 0.0, 150.0, 150.0)), [])
         assert report.wasted_bw == 150.0
 
     def test_peak_over_ledgers(self):
-        report = aggregate([SessionRecord(0, 0, 0.0, 1.0, 0.0)],
+        report = aggregate(_log((0, 0, 0.0, 1.0, 0.0)),
                            [_ledger(0, 3.0), _ledger(1, 7.5), _ledger(2, 2.0)])
         assert report.peak_bw == 7.5
 
     def test_empty_is_flagged(self):
-        report = aggregate([], [_ledger(0, 2.0)])
+        report = aggregate(_log(), [_ledger(0, 2.0)])
         assert report.empty
         assert report.sessions_completed == 0
         assert report.peak_bw == 2.0
@@ -63,19 +69,19 @@ class TestInvariants:
         rng = np.random.default_rng(0)
         for _ in range(50):
             sessions = [
-                SessionRecord(0, int(rng.integers(0, 4)), float(rng.uniform(0, 5)),
-                              float(rng.uniform(1, 50)), 0.0)
+                (0, int(rng.integers(0, 4)), float(rng.uniform(0, 5)),
+                 float(rng.uniform(1, 50)), 0.0)
                 for _ in range(int(rng.integers(1, 20)))
             ]
             sessions = [
-                s if s.freeze_count else SessionRecord(0, 0, 0.0, s.play_time, 0.0)
+                s if s[1] else (0, 0, 0.0, s[3], 0.0)
                 for s in sessions
             ]
-            report = aggregate(sessions, [])
+            report = aggregate(_log(*sessions), [])
             assert report.avg_n_freeze >= report.percent_user - 1e-12
 
     def test_zero_metric_equivalence(self):
-        sessions = [SessionRecord(0, 0, 0.0, 10.0, 0.0)]
+        sessions = _log((0, 0, 0.0, 10.0, 0.0))
         report = aggregate(sessions, [])
         assert report.freeze_ratio == report.avg_t_freeze == report.rate_freeze == 0.0
 

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vodsim.behavior import PhaseBoundary
+from vodsim.behavior import DepartureModel, PhaseBoundary
 from vodsim.strategy import (
     STRATEGY_NAMES,
     PoolState,
@@ -24,19 +25,22 @@ from vodsim.strategy import (
 )
 
 BIG = 1e6  # remaining demand stand-in for "far from file end"
+L = 100  # video length, in slots, of the pools' `viewed` counts
+BROWSE_SLOTS = 15  # bb's browsing phase: fewer than 15 of L slots viewed
 
 
-def _pool(n=None, *, buffers=0.0, caps=2.0, ratios=0.5, remaining=BIG,
+def _pool(n=None, *, buffers=0.0, caps=2.0, viewed=50.0, remaining=BIG,
           in_startup=False, playing=True):
     """A PoolState of n sessions.  Each field takes one value per session or
     one value for all; n defaults to the length of the per-session fields.
-    As in the engine, a startup session never plays."""
-    values = (buffers, ratios, caps, remaining, in_startup, playing)
+    As in the engine, a session's cap is min(caps, remaining) and a startup
+    session never plays."""
+    values = (buffers, viewed, caps, remaining, in_startup, playing)
     n = n or max(np.size(v) for v in values)
-    buffer, ratio, cap, rem = (np.broadcast_to(np.asarray(v, dtype=float), n).copy()
-                               for v in values[:4])
+    buffer, view, cap, rem = (np.broadcast_to(np.asarray(v, dtype=float), n).copy()
+                              for v in values[:4])
     startup, play = (np.broadcast_to(np.asarray(v, dtype=bool), n).copy() for v in values[4:])
-    return PoolState(buffer, ratio, cap, rem, startup, play & ~startup)
+    return PoolState(buffer, view, np.minimum(cap, rem), startup, play & ~startup)
 
 
 class TestWaterfill:
@@ -110,9 +114,8 @@ class TestLeanFill:
         # bits as through the shortcut.
         buffer, playing, caps, weights = (np.array(c) for c in zip(*users, (0.0, False, 0.0, 0.0)))
         n = buffer.size
-        pool = PoolState(buffer=buffer, ratio=np.zeros(n), access_cap=caps,
-                         remaining=np.full(n, BIG), in_startup=np.zeros(n, dtype=bool),
-                         playing=playing.astype(bool))
+        pool = PoolState(buffer=buffer, viewed=np.zeros(n), cap=caps,
+                         in_startup=np.zeros(n, dtype=bool), playing=playing.astype(bool))
         C = _budget(share, caps)
         masked = _buffer_fill(pool, C, 1.0, weights)
         short = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, weights[:-1])
@@ -199,36 +202,49 @@ class TestEW:
 
 
 class TestBB:
-    BOUNDARY = PhaseBoundary(0.15)
-
     def test_browsing_pinned_to_bitrate(self):
-        pool = _pool(ratios=[0.05, 0.5, 0.8])
-        rates = bb_rates(pool, C=4.0, bitrate=1.0, boundary=self.BOUNDARY)
+        pool = _pool(viewed=[5, 50, 80])
+        rates = bb_rates(pool, C=4.0, bitrate=1.0, browse_slots=BROWSE_SLOTS)
         np.testing.assert_allclose(rates, [1.0, 1.5, 1.5])
 
     def test_fallback_when_viewers_starved(self):
-        pool = _pool(ratios=[0.05, 0.5, 0.8])
-        rates = bb_rates(pool, C=2.5, bitrate=1.0, boundary=self.BOUNDARY)
+        pool = _pool(viewed=[5, 50, 80])
+        rates = bb_rates(pool, C=2.5, bitrate=1.0, browse_slots=BROWSE_SLOTS)
         np.testing.assert_allclose(rates, [2.5 / 3] * 3)
         assert np.array_equal(rates, be_rates(pool, C=2.5))
 
     def test_no_browsing_users_equals_be(self):
-        pool = _pool(ratios=[0.5, 0.8], buffers=[1.0, 2.0])
-        rates = bb_rates(pool, C=1.7, bitrate=1.0, boundary=self.BOUNDARY)
+        pool = _pool(viewed=[50, 80], buffers=[1.0, 2.0])
+        rates = bb_rates(pool, C=1.7, bitrate=1.0, browse_slots=BROWSE_SLOTS)
         assert np.array_equal(rates, be_rates(pool, C=1.7))
 
     def test_startup_user_not_browsing(self):
         # A startup user below the boundary is pooled with viewers, not pinned.
-        pool = _pool(ratios=[0.0, 0.5], in_startup=True)
-        rates = bb_rates(pool, C=4.0, bitrate=1.0, boundary=self.BOUNDARY)
+        pool = _pool(viewed=[0, 50], in_startup=True)
+        rates = bb_rates(pool, C=4.0, bitrate=1.0, browse_slots=BROWSE_SLOTS)
         assert np.array_equal(rates, be_rates(pool, C=4.0))
+
+    @pytest.mark.parametrize("length", [50, 60, 300])
+    def test_slot_count_matches_viewing_ratio(self, length):
+        # The engine's bb pins a session while viewed / L is below the
+        # boundary ratio, for every slot count and every boundary, on or off
+        # the k / L grid.  At unlimited capacity a pinned session gets the
+        # bitrate and any other its whole cap of 2.
+        model = DepartureModel.synthetic(L=length)
+        viewed = np.arange(length + 1, dtype=float)
+        pool = _pool(viewed=viewed)
+        grid = (np.arange(length + 1) / length).tolist()
+        for b in [model.boundary.boundary_ratio, 0.0, 0.15, 1.0, *grid]:
+            alloc = make_allocator("bb", 1.0, replace(model, boundary=PhaseBoundary(b)))
+            rates = alloc(pool, math.inf)
+            assert np.array_equal(rates == 1.0, viewed / length < b), b
 
 
 users_strategy = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(
         st.lists(st.floats(min_value=0.0, max_value=12.0), min_size=n, max_size=n),
         st.lists(st.floats(min_value=0.1, max_value=4.0), min_size=n, max_size=n),
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n),
+        st.lists(st.floats(min_value=0.0, max_value=L), min_size=n, max_size=n),
         st.lists(st.floats(min_value=0.0, max_value=6.0), min_size=n, max_size=n),
         st.lists(st.booleans(), min_size=n, max_size=n),
         st.floats(min_value=0.0, max_value=15.0),
@@ -237,14 +253,14 @@ users_strategy = st.integers(min_value=1, max_value=6).flatmap(
 
 
 def _build(case):
-    buffers, caps, ratios, remaining, startups, C = case
-    pool = _pool(buffers=buffers, caps=caps, ratios=ratios, remaining=remaining,
+    buffers, caps, viewed, remaining, startups, C = case
+    pool = _pool(buffers=buffers, caps=caps, viewed=viewed, remaining=remaining,
                  in_startup=startups)
     return pool, C
 
 
 def _hazard(pool):
-    return 0.5 * (1.0 - pool.ratio) + 0.01
+    return 0.5 * (1.0 - pool.viewed / L) + 0.01
 
 
 def _all_allocations(pool, C):
@@ -253,7 +269,7 @@ def _all_allocations(pool, C):
     yield be_rates(pool, C), "be"
     yield eb_rates(pool, C, bitrate=1.0), "eb"
     yield ew_rates(pool, C, bitrate=1.0, hazard=_hazard(pool)), "ew"
-    yield bb_rates(pool, C, bitrate=1.0, boundary=PhaseBoundary(0.15)), "bb"
+    yield bb_rates(pool, C, bitrate=1.0, browse_slots=BROWSE_SLOTS), "bb"
 
 
 class TestAllocatorProperties:
@@ -261,7 +277,7 @@ class TestAllocatorProperties:
     @settings(max_examples=150, deadline=None)
     def test_feasibility(self, case):
         pool, C = _build(case)
-        demand = np.minimum(pool.access_cap, pool.remaining)
+        demand = pool.cap
         for rates, name in _all_allocations(pool, C):
             assert rates.sum() <= C + 1e-9, name
             assert np.all(rates >= -1e-12), name
@@ -271,7 +287,7 @@ class TestAllocatorProperties:
     @settings(max_examples=150, deadline=None)
     def test_work_conservation(self, case):
         pool, C = _build(case)
-        demand = np.minimum(pool.access_cap, pool.remaining)
+        demand = pool.cap
         if demand.sum() < C:
             return
         conserving = [
@@ -281,12 +297,12 @@ class TestAllocatorProperties:
         ]
         # BB deliberately pins browsing users to the bitrate, so it conserves
         # work only when the non-browsing pool can absorb the residual.
-        browsing = ~pool.in_startup & (pool.ratio < 0.15)
+        browsing = ~pool.in_startup & (pool.viewed < BROWSE_SLOTS)
         browsing_demand = np.minimum(demand, 1.0)[browsing].sum()
         other_demand = demand[~browsing].sum()
         if browsing_demand + other_demand >= C:
             conserving.append(
-                ("bb", bb_rates(pool, C, bitrate=1.0, boundary=PhaseBoundary(0.15)))
+                ("bb", bb_rates(pool, C, bitrate=1.0, browse_slots=BROWSE_SLOTS))
             )
         for name, rates in conserving:
             assert rates.sum() == pytest.approx(C, abs=1e-9), name
@@ -359,4 +375,4 @@ class TestFactory:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            make_allocator("zz", bitrate=1.0)
+            make_allocator("zz", bitrate=1.0, model=DepartureModel.synthetic(L=L))

@@ -270,10 +270,10 @@ class DepartureModel:
     def sample_slots(self, u: np.ndarray) -> np.ndarray:
         return sample_departure_slots(self.cdf, u)
 
-    def hazard_at(self, viewing_ratio: np.ndarray) -> np.ndarray:
-        """Piecewise-constant hazard lookup by viewing ratio."""
-        v = np.asarray(viewing_ratio, dtype=float)
-        idx = np.asarray(v * self.slots).astype(int)  # 0-d stays an array
+    def hazard_at(self, viewed: np.ndarray) -> np.ndarray:
+        """Hazard of the slot after `viewed` viewed slots, `rates.p[viewed]`,
+        with `viewed` truncated to a whole slot and clamped to [0, L-1]."""
+        idx = np.asarray(viewed).astype(int)  # 0-d stays an array
         np.minimum(idx, self.slots - 1, out=idx)
         np.maximum(idx, 0, out=idx)
         return self.rates.p[idx]

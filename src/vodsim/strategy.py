@@ -182,7 +182,7 @@ def ew_rates(pool: PoolState, C: float, bitrate: float, hazard: np.ndarray) -> n
     """Equal waste-rate streaming: equalize hazard * projected buffer.
 
     `hazard` holds one value in [0, 1] per session.  The engine passes
-    `DepartureModel.hazard_at`, entries of `DepartureRates.p`,
+    `DepartureModel.hazard_at(pool.viewed)`, entries of `DepartureRates.p`,
     which was checked and clipped to [0, 1] when the model was built.
     """
     return _buffer_fill(pool, C, bitrate, hazard)
@@ -227,11 +227,11 @@ def make_allocator(name: str, bitrate: float, model):
         return lambda pool, C: be_rates(pool, C)
     if name == "eb":
         return lambda pool, C: eb_rates(pool, C, bitrate)
-    L = model.slots
     if name == "ew":
-        return lambda pool, C: ew_rates(pool, C, bitrate, model.hazard_at(pool.viewed / L))
+        return lambda pool, C: ew_rates(pool, C, bitrate, model.hazard_at(pool.viewed))
     if name == "bb":
         # Slot counts k in [0, L] with k / L below the boundary ratio.
+        L = model.slots
         browse_slots = int(np.searchsorted(np.arange(L + 1) / L, model.boundary.boundary_ratio))
         return lambda pool, C: bb_rates(pool, C, bitrate, browse_slots)
     raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")

@@ -180,18 +180,26 @@ class TestSyntheticModel:
 
 
 class TestHazardLookup:
-    RATIOS = [-0.5, 0.0, 0.004, 0.5, 0.999, 1.0, 1.7]
+    VIEWED = [-25.0, 0.0, 0.2, 25.0, 49.95, 50.0, 85.0]  # slots, of L = 50
 
-    def test_clamps_out_of_range_ratios(self):
+    def test_clamps_out_of_range_slots(self):
         model = DepartureModel.synthetic(L=50)
-        idx = np.clip((np.array(self.RATIOS) * 50).astype(int), 0, 49)
-        assert np.array_equal(model.hazard_at(np.array(self.RATIOS)), model.rates.p[idx])
+        idx = np.clip(np.array(self.VIEWED).astype(int), 0, 49)
+        assert np.array_equal(model.hazard_at(np.array(self.VIEWED)), model.rates.p[idx])
 
-    @pytest.mark.parametrize("ratio", RATIOS)
-    def test_scalar_matches_array(self, ratio):
+    @pytest.mark.parametrize("viewed", VIEWED)
+    def test_scalar_matches_array(self, viewed):
         model = DepartureModel.synthetic(L=50)
-        assert model.hazard_at(ratio) == model.hazard_at(np.array([ratio]))[0]
-        assert model.hazard_at(np.float64(ratio)) == model.hazard_at(np.array([ratio]))[0]
+        assert model.hazard_at(viewed) == model.hazard_at(np.array([viewed]))[0]
+        assert model.hazard_at(np.float64(viewed)) == model.hazard_at(np.array([viewed]))[0]
+
+    @pytest.mark.parametrize("L", [50, 60, 300])
+    def test_every_slot_reads_its_own_rate(self, L):
+        # A viewing ratio k / L times L can round below k (k = 55 at L = 300),
+        # so the lookup takes the slot count itself.
+        model = DepartureModel.synthetic(L=L)
+        viewed = np.arange(L, dtype=float)  # as the engine's playback row
+        assert np.array_equal(model.hazard_at(viewed), model.rates.p)
 
 
 class TestHistogramFileIO:

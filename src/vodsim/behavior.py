@@ -155,9 +155,9 @@ def phase_boundary(rates) -> PhaseBoundary:
     """Demarcate the browsing phase from top hazard rates.
 
     Slots are selected in descending hazard order (earlier slot wins ties)
-    until their sum reaches BROWSE_HAZARD_SHARE of the total; the boundary is the
-    largest selected slot divided by the video length.  The final slot (the
-    forced completion spike) is excluded from selection.
+    until their sum reaches BROWSE_HAZARD_SHARE of the total; the boundary
+    is the largest selected slot divided by the video length.  The final
+    slot (the forced completion spike) is excluded from selection.
     """
     p = rates.p if isinstance(rates, DepartureRates) else np.asarray(rates, dtype=float)
     if p.size == 0:

@@ -27,7 +27,7 @@ class PoolState(NamedTuple):
     """Array view of all active sessions, as the engine sees them."""
 
     buffer: np.ndarray         # seconds of unplayed content
-    viewed: np.ndarray         # slots of content played so far
+    viewed: np.ndarray         # playback position, in whole slots
     cap: np.ndarray            # most the session can take this slot (rate units)
     in_startup: np.ndarray     # bool
     playing: np.ndarray        # bool; False for startup and frozen sessions
@@ -195,8 +195,7 @@ def bb_rates(pool: PoolState, C: float, bitrate: float, browse_slots: int) -> np
     browsing = (~pool.in_startup) & (pool.viewed < browse_slots)
     if not browsing.any():
         return be_rates(pool, C)
-    d_all = pool.cap
-    d_browse = np.minimum(d_all[browsing], bitrate)
+    d_browse = np.minimum(pool.cap[browsing], bitrate)
     reserved = float(d_browse.sum())
     if reserved > C:
         d_browse = d_browse * (C / reserved)  # degenerate overload: equal scale-down
@@ -206,7 +205,7 @@ def bb_rates(pool: PoolState, C: float, bitrate: float, browse_slots: int) -> np
     if not others.any():
         return rates
     residual = max(C - float(d_browse.sum()), 0.0) if not math.isinf(C) else math.inf
-    x, level = _fair_fill(d_all[others], residual)
+    x, level = _fair_fill(pool.cap[others], residual)
     if level < float(d_browse.max()):
         return be_rates(pool, C)
     rates[others] = x
@@ -230,7 +229,8 @@ def make_allocator(name: str, bitrate: float, model):
     if name == "ew":
         return lambda pool, C: ew_rates(pool, C, bitrate, model.hazard_at(pool.viewed))
     if name == "bb":
-        # Slot counts k in [0, L] with k / L below the boundary ratio.
+        # The number of k in [0, L] with k / L below the boundary ratio, so
+        # that `viewed < browse_slots` decides as `viewed / L < boundary` does.
         L = model.slots
         browse_slots = int(np.searchsorted(np.arange(L + 1) / L, model.boundary.boundary_ratio))
         return lambda pool, C: bb_rates(pool, C, bitrate, browse_slots)

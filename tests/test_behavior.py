@@ -180,16 +180,19 @@ class TestSyntheticModel:
 
 
 class TestHazardLookup:
-    VIEWED = [-25.0, 0.0, 0.2, 25.0, 49.95, 50.0, 85.0]  # slots, of L = 50
+    # Positions as viewing ratios; the lookup takes them in slots of L = 50.
+    RATIOS = [-0.5, 0.0, 0.004, 0.5, 0.999, 1.0, 1.7]
 
-    def test_clamps_out_of_range_slots(self):
+    def test_clamps_out_of_range_ratios(self):
         model = DepartureModel.synthetic(L=50)
-        idx = np.clip(np.array(self.VIEWED).astype(int), 0, 49)
-        assert np.array_equal(model.hazard_at(np.array(self.VIEWED)), model.rates.p[idx])
+        viewed = np.array(self.RATIOS) * 50
+        idx = np.clip(viewed.astype(int), 0, 49)
+        assert np.array_equal(model.hazard_at(viewed), model.rates.p[idx])
 
-    @pytest.mark.parametrize("viewed", VIEWED)
-    def test_scalar_matches_array(self, viewed):
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_scalar_matches_array(self, ratio):
         model = DepartureModel.synthetic(L=50)
+        viewed = ratio * 50
         assert model.hazard_at(viewed) == model.hazard_at(np.array([viewed]))[0]
         assert model.hazard_at(np.float64(viewed)) == model.hazard_at(np.array([viewed]))[0]
 

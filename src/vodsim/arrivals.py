@@ -41,16 +41,16 @@ class ArrivalProcess:
     def __post_init__(self):
         if self.kind not in ("poisson", "trace"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
-        if self.kind == "poisson" and self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if self.kind == "poisson" and not 0 <= self.lam < np.inf:  # NaN, inf fail
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.kind == "trace":
             c = np.asarray(self.counts, dtype=np.int64)
             if c.ndim != 1 or c.size == 0:
                 raise ValueError("trace must be a nonempty 1-d count sequence")
             if np.any(c < 0):
                 raise ValueError("trace counts must be nonnegative")
-            if self.scale <= 0:
-                raise ValueError("scale must be positive")
+            if not 0 < self.scale < np.inf:
+                raise ValueError(f"trace scale must be positive and finite, got {self.scale}")
             self.counts = c
 
     @classmethod

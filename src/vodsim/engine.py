@@ -291,8 +291,10 @@ def load_to_arrival_rate(
 ) -> float:
     """Arrival rate per slot producing offered load rho = lam*L*bitrate/C,
     corrected for the expected viewing ratio under early departure."""
-    if rho <= 0 or C <= 0 or L <= 0 or bitrate <= 0 or mean_viewing_ratio <= 0:
-        raise ValueError("all load inputs must be positive")
+    inputs = dict(rho=rho, C=C, L=L, bitrate=bitrate, mean_viewing_ratio=mean_viewing_ratio)
+    for name, value in inputs.items():
+        if not 0 < value < math.inf:  # NaN and inf fail
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     return rho * C / (bitrate * L * mean_viewing_ratio)
 
 

@@ -36,19 +36,18 @@ class PoolState(NamedTuple):
 def _level_fill(floors, weights, caps, budget):
     """Raise weighted levels w_i*(floor_i + x_i) to a common value.
 
-    Finds x (0 <= x_i <= cap_i, sum x_i <= budget) that lexicographically
-    maximizes the level vector; users whose cap binds below the common level
-    receive their cap.  `weights=None` means unit weights and gives the same
-    bits as `np.ones(n)`, since multiplying or dividing by 1.0 is exact.
-    Returns (x, level); level is +inf when every cap binds with budget to
-    spare.
+    Finds x (0 <= x_i <= cap_i, sum x_i <= budget) for caps >= 0 that
+    lexicographically maximizes the level vector; users whose cap binds
+    below the common level receive their cap.  `weights=None` means unit
+    weights and gives the same bits as `np.ones(n)`, since multiplying or
+    dividing by 1.0 is exact.  Returns (x, level); level is +inf when every
+    cap binds with budget to spare.
     """
     floors = np.asarray(floors, dtype=float)
     caps = np.asarray(caps, dtype=float)
     n = floors.size
     if n == 0:
         return np.zeros(0), math.inf
-    caps = np.maximum(caps, 0.0)
     total_caps = float(caps.sum())
     if budget >= total_caps:
         return caps.copy(), math.inf
@@ -99,9 +98,10 @@ def _fair_fill(caps, budget):
 
     Its breakpoints are n zeros followed by the caps, so only the n caps are
     sorted: below the smallest cap all n users rise together, and each cap
-    passed leaves one user fewer.  Returns (x, level) as `_level_fill` does.
+    passed leaves one user fewer.  Caps must be >= 0.  Returns (x, level) as
+    `_level_fill` does.
     """
-    caps = np.maximum(np.asarray(caps, dtype=float), 0.0)
+    caps = np.asarray(caps, dtype=float)
     n = caps.size
     if n == 0:
         return np.zeros(0), math.inf
@@ -145,18 +145,22 @@ def _buffer_fill(
     """Weighted water-fill of projected next-slot buffers; `weights=None`
     means unit weights.
 
+    With no zero weight, every session gets its cap when all caps fit in C.
     Zero-weight users cannot raise the waste level, so they are served after
     all positive-weight users reach the common level.
     """
-    floors = pool.buffer - pool.playing
     caps_sec = pool.cap / bitrate
-    budget_sec = C / bitrate if not math.isinf(C) else math.inf
+    budget_sec = C / bitrate
     pos = None if weights is None else weights > 0
     if pos is None or pos.all():
+        # `_level_fill`'s own fit test, made before the floors and weights.
+        if budget_sec >= caps_sec.sum():
+            return caps_sec * bitrate
         if weights is not None and weights.size:
             weights = weights / weights.max()  # scale-invariant; constant weights become 1.0
-        x, _ = _level_fill(floors, weights, caps_sec, budget_sec)
+        x, _ = _level_fill(pool.buffer - pool.playing, weights, caps_sec, budget_sec)
         return x * bitrate
+    floors = pool.buffer - pool.playing
     x = np.zeros(floors.size)
     spent = 0.0
     if pos.any():
@@ -166,7 +170,7 @@ def _buffer_fill(
         x[pos] = x_pos
         spent = float(x_pos.sum())
     rest = ~pos
-    leftover = budget_sec - spent if not math.isinf(budget_sec) else math.inf
+    leftover = budget_sec - spent
     if leftover > 0:
         x_rest, _ = _level_fill(floors[rest], None, caps_sec[rest], leftover)
         x[rest] = x_rest
@@ -191,20 +195,23 @@ def ew_rates(pool: PoolState, C: float, bitrate: float, hazard: np.ndarray) -> n
 def bb_rates(pool: PoolState, C: float, bitrate: float, browse_slots: int) -> np.ndarray:
     """Behavior-based streaming: pin browsing users (fewer than
     `browse_slots` slots viewed) to the bitrate, serve the rest best-effort;
-    fall back to plain BE if browsing would out-pace viewing."""
+    fall back to plain BE if browsing would out-pace viewing.  When every
+    demand fits in C, each session gets its demand."""
     browsing = (~pool.in_startup) & (pool.viewed < browse_slots)
+    rates = np.where(browsing, np.minimum(pool.cap, bitrate), pool.cap)
+    if C >= rates.sum():
+        return rates
     if not browsing.any():
         return be_rates(pool, C)
-    d_browse = np.minimum(pool.cap[browsing], bitrate)
+    d_browse = rates[browsing]
     reserved = float(d_browse.sum())
     if reserved > C:
-        d_browse = d_browse * (C / reserved)  # degenerate overload: equal scale-down
-    rates = np.zeros(pool.buffer.size)
-    rates[browsing] = d_browse
+        d_browse *= C / reserved  # degenerate overload: equal scale-down
+        rates[browsing] = d_browse
     others = ~browsing
     if not others.any():
         return rates
-    residual = max(C - float(d_browse.sum()), 0.0) if not math.isinf(C) else math.inf
+    residual = max(C - float(d_browse.sum()), 0.0)
     x, level = _fair_fill(pool.cap[others], residual)
     if level < float(d_browse.max()):
         return be_rates(pool, C)

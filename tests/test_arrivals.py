@@ -1,5 +1,7 @@
 """Arrival-process generation, trace parsing, and scaling tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,13 @@ class TestArrivalProcess:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             ArrivalProcess.trace([1, 2], scale=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_scale_and_rate(self, value):
+        with pytest.raises(ValueError, match=f"scale must be positive and finite, got {value}"):
+            ArrivalProcess.trace([1, 2], scale=value)
+        with pytest.raises(ValueError, match=f"lam must be nonnegative and finite, got {value}"):
+            ArrivalProcess.poisson(value)
 
     def test_trace_length(self):
         assert ArrivalProcess.trace([1, 2, 3]).length == 3

@@ -96,6 +96,23 @@ class TestInputErrors:
         assert "error: argument --repetitions" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["run", "--rho", "nan", *SMALL], "rho must be positive and finite, got nan"),
+        (["run", "--rho", "inf", *SMALL], "rho must be positive and finite, got inf"),
+        (["sweep", "--rho", "0.8,nan", *SMALL], "rho must be positive and finite, got nan"),
+        (["run", "--trace", "day.trace", "--trace-scale", "nan"],
+         "trace scale must be positive and finite, got nan"),
+        (["run", "--trace", "day.trace", "--trace-scale", "inf"],
+         "trace scale must be positive and finite, got inf"),
+    ], ids=["run-rho-nan", "run-rho-inf", "sweep-rho-nan", "trace-scale-nan", "trace-scale-inf"])
+    def test_rejects_nonfinite_load(self, tmp_path, monkeypatch, capsys, args, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "day.trace").write_text("1\n2\n0\n3\n")
+        code = cli.main([*args, "--strategy", "be", "--out", "x.csv"])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_target_fraction_without_trace(self, tmp_path, capsys):
         code = cli.main(["run", "--strategy", "be", "--target-fraction", "0.9",
                          *SMALL, "--out", str(tmp_path / "x.csv")])

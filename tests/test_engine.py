@@ -40,6 +40,13 @@ class TestLoadConversion:
         with pytest.raises(ValueError):
             load_to_arrival_rate(0.995, 1000.0, 300, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, value):
+        with pytest.raises(ValueError, match=f"rho must be positive and finite, got {value}"):
+            load_to_arrival_rate(value, 1000.0, 300, 1.0, 1.0)
+        with pytest.raises(ValueError, match="mean_viewing_ratio must be positive and finite"):
+            load_to_arrival_rate(0.995, 1000.0, 300, 1.0, value)
+
 
 class TestPoissonArrivalRate:
     @pytest.mark.parametrize("rho, cfg", [
@@ -237,6 +244,7 @@ def _check_every_slot(cfg, strategy, model, counts):
         alloc = real_make_allocator(*args)
 
         def checked(pool, C):
+            assert np.all(pool.cap >= 0.0)  # the fills rely on it
             rates = alloc(pool, C)
             slot["before"] = before = _columns(world, copy=True)
             slot["rates"] = rates

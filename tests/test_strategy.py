@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vodsim.behavior import DepartureModel, PhaseBoundary
@@ -238,6 +238,120 @@ class TestBB:
             alloc = make_allocator("bb", 1.0, replace(model, boundary=PhaseBoundary(b)))
             rates = alloc(pool, math.inf)
             assert np.array_equal(rates == 1.0, viewed / length < b), b
+
+
+def _bb_parent(pool, C, bitrate, browse_slots):
+    """bb without its fit check: the reference while capacity binds."""
+    browsing = (~pool.in_startup) & (pool.viewed < browse_slots)
+    if not browsing.any():
+        return be_rates(pool, C)
+    d_browse = np.minimum(pool.cap[browsing], bitrate)
+    reserved = float(d_browse.sum())
+    if reserved > C:
+        d_browse = d_browse * (C / reserved)
+    rates = np.zeros(pool.buffer.size)
+    rates[browsing] = d_browse
+    others = ~browsing
+    if not others.any():
+        return rates
+    residual = max(C - float(d_browse.sum()), 0.0) if not math.isinf(C) else math.inf
+    x, level = _fair_fill(pool.cap[others], residual)
+    if level < float(d_browse.max()):
+        return be_rates(pool, C)
+    rates[others] = x
+    return rates
+
+
+# Pools for the fit contract.  The sampled values make zero caps, zero
+# hazards, browsing sessions (viewed < BROWSE_SLOTS) and startup sessions
+# common; each pool comes with its ew hazards.
+_contract_pools = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(*(st.lists(e, min_size=n, max_size=n) for e in (
+        _buffers,
+        _caps,
+        st.sampled_from([0.0, 5.0, 14.0, 15.0, 50.0]),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(st.just(0.0), _weights),
+    )))
+)
+_bitrates = st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=4.0))
+
+
+def _contract_case(case):
+    buffers, caps, viewed, in_startup, playing, hazard = case
+    pool = _pool(buffers=buffers, caps=caps, viewed=viewed, in_startup=in_startup,
+                 playing=playing)
+    return pool, np.array(hazard)
+
+
+def _demand(name, pool, bitrate):
+    """What eb, ew and bb return when every demand fits: eb and ew give each
+    session its cap, taken through seconds (`cap / bitrate * bitrate`); bb
+    gives a browsing session min(cap, bitrate) and any other its cap."""
+    if name == "bb":
+        browsing = ~pool.in_startup & (pool.viewed < BROWSE_SLOTS)
+        return np.where(browsing, np.minimum(pool.cap, bitrate), pool.cap)
+    return pool.cap / bitrate * bitrate
+
+
+def _rates(name, pool, C, bitrate, hazard):
+    if name == "eb":
+        return eb_rates(pool, C, bitrate)
+    if name == "ew":
+        return ew_rates(pool, C, bitrate, hazard)
+    return bb_rates(pool, C, bitrate, BROWSE_SLOTS)
+
+
+class TestFitContract:
+    """eb, ew and bb return their demand whenever it fits in C."""
+
+    @pytest.mark.parametrize("name", ["eb", "ew", "bb"])
+    @given(_contract_pools, _bitrates,
+           st.one_of(st.sampled_from([1.0, 2.0, math.inf]),
+                     st.floats(min_value=1.0, max_value=3.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_fitting_demand_is_returned(self, name, case, bitrate, factor):
+        pool, hazard = _contract_case(case)
+        demand = _demand(name, pool, bitrate)
+        C = float(demand.sum()) * (1 + 1e-9) * factor
+        assert _rates(name, pool, C, bitrate, hazard).tobytes() == demand.tobytes()
+
+    @pytest.mark.parametrize("name", ["eb", "ew", "bb"])
+    @given(_contract_pools)
+    @settings(max_examples=300, deadline=None)
+    def test_capacity_at_total_demand(self, name, case):
+        # One ulp below C = sum(demand), at it and one ulp above, the rates
+        # stay within the caps and C.  From C = sum(demand) up every demand
+        # fits and is returned exactly, except by ew with zero hazards: it
+        # fills those sessions from what the others leave, and that
+        # remainder can round an ulp short of their caps.
+        pool, hazard = _contract_case(case)
+        demand = _demand(name, pool, 1.0)
+        total = float(demand.sum())
+        exact = name != "ew" or bool(np.all(hazard > 0))
+        for C in (np.nextafter(total, -math.inf), total, np.nextafter(total, math.inf)):
+            if C < 0.0:
+                continue
+            rates = _rates(name, pool, float(C), 1.0, hazard)
+            assert np.all(rates >= 0.0)
+            assert np.all(rates <= pool.cap)
+            assert rates.sum() <= C * (1 + 1e-12)
+            if C >= total and exact:
+                assert rates.tobytes() == demand.tobytes()
+
+    @given(_contract_pools, _bitrates, st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=400, deadline=None)
+    def test_bb_binding_paths_unchanged(self, case, bitrate, share):
+        # Below the total demand bb keeps its reservation, its equal
+        # scale-down when the reservations alone exceed C, and its be
+        # fallback, bit for bit.
+        pool, _ = _contract_case(case)
+        total = float(_demand("bb", pool, bitrate).sum())
+        C = share * total
+        assume(C < total)
+        rates = bb_rates(pool, C, bitrate, BROWSE_SLOTS)
+        assert rates.tobytes() == _bb_parent(pool, C, bitrate, BROWSE_SLOTS).tobytes()
 
 
 users_strategy = st.integers(min_value=1, max_value=6).flatmap(

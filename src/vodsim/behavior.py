@@ -1,15 +1,16 @@
-"""Viewer early-departure behavior: histograms, hazard rates, sampling, phases.
+"""Viewer early-departure behavior: one departure model, its array-level
+conversions, synthetic histograms and histogram file I/O.
 
-Departure behavior is expressed in three equivalent forms: a per-slot
-departure histogram (mass per viewed-content slot), per-slot hazard rates
-(departure probability given survival), and the CDF used for inverse-transform
-sampling of random departure times.  A phase boundary splits the video into a
-high-churn browsing prefix and a flatter viewing phase.
+A video of L slots has a departure histogram q: q[t] is the share of viewers
+who leave after viewing t + 1 slots, and the final bin includes those who
+finish.  `DepartureModel(q)` derives the rest from it: the hazard rates p
+(p[t] = P(depart in slot t | survived slots < t)), read by ew; the CDF, for
+inverse-transform sampling of departure slots at admission; the mean viewing
+ratio; and `browse_slots`, the length of the high-churn browsing prefix that
+precedes the flatter viewing phase, read by bb.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,96 +18,36 @@ SUM_TOL = 1e-9
 _EPS = 1e-12
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.flags.writeable = False
-    return a
+def _histogram(q) -> np.ndarray:
+    """A validated copy of the histogram q, with round-off clipped to [0, 1]."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("histogram needs at least one bin")
+    if np.any(q < -_EPS) or np.any(q > 1.0 + _EPS):
+        raise ValueError("bin probabilities must lie in [0, 1]")
+    if abs(float(q.sum()) - 1.0) > SUM_TOL:
+        raise ValueError(f"bin probabilities sum to {q.sum()}, expected 1")
+    return np.clip(q, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class DepartureHistogram:
-    """Per-bin departure mass; bin t is the t-th viewed slot of the video.
-
-    The final bin includes the completion mass (viewers who finish).
-    """
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 1 or q.size == 0:
-            raise ValueError("histogram needs at least one bin")
-        if np.any(q < -_EPS) or np.any(q > 1.0 + _EPS):
-            raise ValueError("bin probabilities must lie in [0, 1]")
-        if abs(float(q.sum()) - 1.0) > SUM_TOL:
-            raise ValueError(f"bin probabilities sum to {q.sum()}, expected 1")
-        object.__setattr__(self, "q", _freeze(np.clip(q, 0.0, 1.0)))
-
-    @property
-    def bins(self) -> int:
-        return int(self.q.size)
-
-    def mean_viewing_ratio(self) -> float:
-        """Expected fraction of the video viewed before departure."""
-        t = np.arange(1, self.bins + 1)
-        return float((t * self.q).sum()) / self.bins
+def _rates(p) -> np.ndarray:
+    """A validated copy of the hazard rates p, with round-off clipped to [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("rates need at least one slot")
+    if np.any(p < -_EPS) or np.any(p > 1.0 + _EPS):
+        raise ValueError("hazard rates must lie in [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
+    # Everyone leaves by video end: p[last] = 1 unless no one can reach it.
+    survivors_into_last = float(np.prod(1.0 - p[:-1])) if p.size > 1 else 1.0
+    if survivors_into_last > SUM_TOL and p[-1] < 1.0 - SUM_TOL:
+        raise ValueError("final-slot hazard must be 1 (all survivors depart)")
+    return p
 
 
-@dataclass(frozen=True, eq=False)
-class DepartureRates:
-    """Hazard rates: p[t] = P(depart in slot t | survived slots < t)."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("rates need at least one slot")
-        if np.any(p < -_EPS) or np.any(p > 1.0 + _EPS):
-            raise ValueError("hazard rates must lie in [0, 1]")
-        p = np.clip(p, 0.0, 1.0)
-        # Everyone leaves by video end: p[last] = 1 unless no one can reach it.
-        survivors_into_last = float(np.prod(1.0 - p[:-1])) if p.size > 1 else 1.0
-        if survivors_into_last > SUM_TOL and p[-1] < 1.0 - SUM_TOL:
-            raise ValueError("final-slot hazard must be 1 (all survivors depart)")
-        object.__setattr__(self, "p", _freeze(p))
-
-    @property
-    def slots(self) -> int:
-        return int(self.p.size)
-
-
-@dataclass(frozen=True, eq=False)
-class ViewingRatioCdf:
-    """Cumulative departure mass; cdf[t] = P(depart in slot <= t+1)."""
-
-    cdf: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.cdf, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("cdf needs at least one bin")
-        if np.any(np.diff(c) < -_EPS):
-            raise ValueError("cdf must be nondecreasing")
-        if abs(float(c[-1]) - 1.0) > SUM_TOL:
-            raise ValueError("cdf must terminate at 1")
-        object.__setattr__(self, "cdf", _freeze(c))
-
-
-@dataclass(frozen=True)
-class PhaseBoundary:
-    """Viewing ratios below boundary_ratio belong to the browsing phase."""
-
-    boundary_ratio: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.boundary_ratio <= 1.0:
-            raise ValueError("boundary_ratio must lie in [0, 1]")
-
-
-def rates_from_histogram(h: DepartureHistogram) -> DepartureRates:
+def rates_from_histogram(q) -> np.ndarray:
     """Invert Q_t = P_t * prod_{i<t}(1 - P_i) to recover hazard rates."""
-    q = h.q
+    q = _histogram(q)
     survivors = 1.0 - np.concatenate(([0.0], np.cumsum(q[:-1])))
     if np.any(survivors < -SUM_TOL):
         raise ValueError("malformed histogram: negative survivor mass")
@@ -116,64 +57,43 @@ def rates_from_histogram(h: DepartureHistogram) -> DepartureRates:
         # All remaining mass departs in the final bin; pin the terminal hazard
         # to exactly 1 despite cumsum round-off in the survivor mass.
         p[-1] = 1.0
-    return DepartureRates(np.clip(p, 0.0, 1.0))
+    # q / survivors can pass 1 by more than round-off where survivors is tiny.
+    return _rates(np.clip(p, 0.0, 1.0))
 
 
-def histogram_from_rates(r: DepartureRates) -> DepartureHistogram:
+def histogram_from_rates(p) -> np.ndarray:
     """Forward formula Q_t = P_t * prod_{i<t}(1 - P_i)."""
-    p = r.p
+    p = _rates(p)
     survivors = np.concatenate(([1.0], np.cumprod(1.0 - p[:-1])))
-    return DepartureHistogram(p * survivors)
-
-
-def cdf_from_histogram(h: DepartureHistogram) -> ViewingRatioCdf:
-    c = np.cumsum(h.q)
-    c[-1] = 1.0  # absorb float round-off at the terminal bin
-    return ViewingRatioCdf(c)
-
-
-def sample_departure_slot(cdf: ViewingRatioCdf, u: float) -> int:
-    """Inverse-transform sample: smallest 1-based t with u < cdf[t].
-
-    The result is the number of video slots the viewer will watch.
-    """
-    if not 0.0 <= u < 1.0:
-        raise ValueError("u must lie in [0, 1)")
-    return int(np.searchsorted(cdf.cdf, u, side="right")) + 1
-
-
-def sample_departure_slots(cdf: ViewingRatioCdf, u: np.ndarray) -> np.ndarray:
-    """Vectorized sample_departure_slot."""
-    return np.searchsorted(cdf.cdf, np.asarray(u, dtype=float), side="right") + 1
+    return _histogram(p * survivors)
 
 
 # Share of the summed hazard rates that the browsing phase's slots cover.
 BROWSE_HAZARD_SHARE = 0.5
 
 
-def phase_boundary(rates) -> PhaseBoundary:
-    """Demarcate the browsing phase from top hazard rates.
+def phase_boundary(p) -> int:
+    """Length in slots of the browsing phase, found from top hazard rates.
 
     Slots are selected in descending hazard order (earlier slot wins ties)
-    until their sum reaches BROWSE_HAZARD_SHARE of the total; the boundary
-    is the largest selected slot divided by the video length.  The final
-    slot (the forced completion spike) is excluded from selection.
+    until their sum reaches BROWSE_HAZARD_SHARE of the total; the browsing
+    phase runs through the largest selected slot.  The final slot (the
+    forced completion spike) is excluded from selection, and with no
+    positive hazard there is no browsing phase.
     """
-    p = rates.p if isinstance(rates, DepartureRates) else np.asarray(rates, dtype=float)
+    p = np.asarray(p, dtype=float)
     if p.size == 0:
         raise ValueError("empty rates")
     if np.any(p < 0):
         raise ValueError("hazard rates must be nonnegative")
-    length = p.size
     candidates = p[:-1]
     total = float(candidates.sum())
     if total <= 0.0:
-        return PhaseBoundary(0.0)
+        return 0
     order = np.argsort(-candidates, kind="stable")  # stable: earlier slot first on ties
     csum = np.cumsum(candidates[order])
     k = int(np.argmax(csum >= BROWSE_HAZARD_SHARE * total - _EPS))
-    last_selected = int(order[: k + 1].max())
-    return PhaseBoundary((last_selected + 1) / length)
+    return int(order[: k + 1].max()) + 1
 
 
 # Ratio by which the browsing-phase mass decays from its first to last bin.
@@ -185,7 +105,7 @@ def synthetic_model(
     browse_mass: float,
     browse_width: float,
     complete_mass: float,
-) -> DepartureHistogram:
+) -> np.ndarray:
     """Synthetic departure histogram: decaying browsing prefix, flat middle,
     completion spike at the end.
 
@@ -216,36 +136,35 @@ def synthetic_model(
         q[n_browse : L - 1] = middle_mass / n_middle
     q[-1] += complete_mass
     q /= q.sum()
-    return DepartureHistogram(q)
+    return _histogram(q)
 
 
 # Desk-scale preset: calibrated so the mean viewing ratio is ~0.5 and the
-# detected phase boundary lands at ~0.15 of the video.
+# detected browsing phase spans ~0.15 of the video.
 DEFAULT_BROWSE_MASS = 0.45
 DEFAULT_BROWSE_WIDTH = 0.15
 DEFAULT_COMPLETE_MASS = 0.35
 
 
-@dataclass(frozen=True, eq=False)
 class DepartureModel:
-    """Bundle of the equivalent departure-behavior representations."""
+    """Departure behavior of a video of L slots, built from its histogram q.
 
-    histogram: DepartureHistogram
-    rates: DepartureRates
-    cdf: ViewingRatioCdf
-    boundary: PhaseBoundary
-    mean_viewing_ratio: float
+    Holds read-only arrays `q`, `p` (hazard rates) and `cdf`
+    (cdf[t] = P(depart within t + 1 slots)), the browsing-phase length
+    `browse_slots` and `mean_viewing_ratio`, the expected fraction of the
+    video viewed before departure.
+    """
 
-    @classmethod
-    def from_histogram(cls, h: DepartureHistogram) -> "DepartureModel":
-        r = rates_from_histogram(h)
-        return cls(
-            histogram=h,
-            rates=r,
-            cdf=cdf_from_histogram(h),
-            boundary=phase_boundary(r),
-            mean_viewing_ratio=h.mean_viewing_ratio(),
-        )
+    def __init__(self, q):
+        self.q = _histogram(q)
+        self.p = rates_from_histogram(self.q)
+        self.cdf = np.cumsum(self.q)
+        self.cdf[-1] = 1.0  # absorb float round-off at the terminal bin
+        for a in (self.q, self.p, self.cdf):
+            a.flags.writeable = False
+        self.browse_slots = phase_boundary(self.p)
+        t = np.arange(1, self.slots + 1)
+        self.mean_viewing_ratio = float((t * self.q).sum()) / self.slots
 
     @classmethod
     def synthetic(
@@ -255,31 +174,24 @@ class DepartureModel:
         browse_width: float = DEFAULT_BROWSE_WIDTH,
         complete_mass: float = DEFAULT_COMPLETE_MASS,
     ) -> "DepartureModel":
-        return cls.from_histogram(synthetic_model(L, browse_mass, browse_width, complete_mass))
-
-    @classmethod
-    def no_early_departure(cls, L: int) -> "DepartureModel":
-        q = np.zeros(L)
-        q[-1] = 1.0
-        return cls.from_histogram(DepartureHistogram(q))
+        return cls(synthetic_model(L, browse_mass, browse_width, complete_mass))
 
     @property
     def slots(self) -> int:
-        return self.histogram.bins
+        return int(self.q.size)
 
     def sample_slots(self, u: np.ndarray) -> np.ndarray:
-        return sample_departure_slots(self.cdf, u)
+        """Inverse-transform samples: for each u in [0, 1), the smallest
+        1-based t with u < cdf[t - 1], the number of slots the viewer watches."""
+        return np.searchsorted(self.cdf, np.asarray(u, dtype=float), side="right") + 1
 
     def hazard_at(self, viewed: np.ndarray) -> np.ndarray:
-        """Hazard of the slot after `viewed` viewed slots, `rates.p[viewed]`,
-        with `viewed` truncated to a whole slot and clamped to [0, L-1]."""
-        idx = np.asarray(viewed).astype(int)  # 0-d stays an array
-        np.minimum(idx, self.slots - 1, out=idx)
-        np.maximum(idx, 0, out=idx)
-        return self.rates.p[idx]
+        """Hazard of the slot after `viewed` viewed slots, `p[viewed]`.  The
+        engine passes whole slot counts in [0, L - 1]."""
+        return self.p[np.asarray(viewed).astype(int)]
 
 
-def load_histogram(path) -> DepartureHistogram:
+def load_histogram(path) -> np.ndarray:
     """Read a `bin_index,probability` text file (# comments allowed)."""
     probs: dict[int, float] = {}
     with open(path) as fh:
@@ -305,11 +217,11 @@ def load_histogram(path) -> DepartureHistogram:
     q = np.zeros(max(probs) + 1)
     for idx, prob in probs.items():
         q[idx] = prob
-    return DepartureHistogram(q)
+    return _histogram(q)
 
 
-def save_histogram(h: DepartureHistogram, path) -> None:
+def save_histogram(q: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         fh.write("# bin_index,probability\n")
-        for i, prob in enumerate(h.q):
+        for i, prob in enumerate(q):
             fh.write(f"{i},{float(prob)!r}\n")

@@ -82,6 +82,8 @@ def build_config(args) -> SimConfig:
 
 def _strategies(arg: str) -> list[str]:
     names = [s.strip().lower() for s in arg.split(",") if s.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("needs at least one strategy")
     for name in names:
         if name not in STRATEGY_NAMES:
             raise argparse.ArgumentTypeError(
@@ -90,14 +92,16 @@ def _strategies(arg: str) -> list[str]:
     return names
 
 
+def _positive_rhos(arg: str) -> list[float]:
+    rhos = [float(x) for x in arg.split(",") if x.strip()]
+    if not rhos or not all(r > 0 for r in rhos):
+        raise argparse.ArgumentTypeError(f"needs positive load points, got {arg!r}")
+    return rhos
+
+
 def _build_model(args, config: SimConfig) -> behavior.DepartureModel:
     if getattr(args, "histogram", None):
-        hist = behavior.load_histogram(args.histogram)
-        if hist.bins != config.video_length:
-            raise SystemExit(
-                f"histogram has {hist.bins} bins but video_length is {config.video_length}"
-            )
-        return behavior.DepartureModel.from_histogram(hist)
+        return behavior.DepartureModel(behavior.load_histogram(args.histogram))
     return behavior.DepartureModel.synthetic(L=config.video_length)
 
 
@@ -158,8 +162,6 @@ def _experiment_rows(args, config, model, rho_values):
 
 
 def cmd_run(args) -> int:
-    if not args.strategy:
-        raise SystemExit("at least one strategy is required")
     if args.trace is None and args.target_fraction is not None:
         raise ValueError("--target-fraction caps a trace run; it needs --trace")
     config = build_config(args)
@@ -172,14 +174,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.strategy:
-        raise SystemExit("at least one strategy is required")
-    rhos = [float(x) for x in args.rho.split(",") if x.strip()]
-    if not rhos or any(r <= 0 for r in rhos):
-        raise SystemExit("sweep needs positive rho values")
     config = build_config(args)
     model = _build_model(args, config)
-    rows, _ = _experiment_rows(args, config, model, rhos)
+    rows, _ = _experiment_rows(args, config, model, args.rho)
     _write_rows(rows, args.format, args.out)
     return 0
 
@@ -284,7 +281,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--strategy", type=_strategies, default=[],
+        p.add_argument("--strategy", type=_strategies, required=True,
                        help="comma-separated list: " + ",".join(STRATEGY_NAMES))
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--capacity", type=_parse_capacity, default=None,
@@ -313,7 +310,8 @@ def main(argv=None) -> int:
     # A sweep varies rho, so its arrivals are always Poisson.
     p_sweep = sub.add_parser("sweep", help="sweep offered load")
     add_common(p_sweep)
-    p_sweep.add_argument("--rho", required=True, help="comma-separated load points")
+    p_sweep.add_argument("--rho", type=_positive_rhos, required=True,
+                         help="comma-separated load points")
     p_sweep.set_defaults(func=cmd_sweep, trace=None)
 
     p_gen = sub.add_parser("gen", help="generate synthetic inputs")

@@ -117,7 +117,10 @@ class World:
     ):
         config.validate()
         if model.slots != config.video_length:
-            raise ValueError("departure model length must match video_length")
+            raise ValueError(
+                f"departure model has {model.slots} slots but video_length is "
+                f"{config.video_length}"
+            )
         self.config = config
         self.strategy = strategy
         self.model = model

@@ -186,7 +186,7 @@ def ew_rates(pool: PoolState, C: float, bitrate: float, hazard: np.ndarray) -> n
     """Equal waste-rate streaming: equalize hazard * projected buffer.
 
     `hazard` holds one value in [0, 1] per session.  The engine passes
-    `DepartureModel.hazard_at(pool.viewed)`, entries of `DepartureRates.p`,
+    `DepartureModel.hazard_at(pool.viewed)`, entries of the model's `p`,
     which was checked and clipped to [0, 1] when the model was built.
     """
     return _buffer_fill(pool, C, bitrate, hazard)
@@ -222,7 +222,8 @@ def bb_rates(pool: PoolState, C: float, bitrate: float, browse_slots: int) -> np
 def make_allocator(name: str, bitrate: float, model):
     """Build the array-level allocator the engine drives each slot.
 
-    `model` (a DepartureModel) gives ew its hazards and bb its phase boundary.
+    `model` (a DepartureModel) gives ew its hazards and bb its browsing-phase
+    length.
     """
     name = name.lower()
     if name == "sc":
@@ -236,9 +237,5 @@ def make_allocator(name: str, bitrate: float, model):
     if name == "ew":
         return lambda pool, C: ew_rates(pool, C, bitrate, model.hazard_at(pool.viewed))
     if name == "bb":
-        # The number of k in [0, L] with k / L below the boundary ratio, so
-        # that `viewed < browse_slots` decides as `viewed / L < boundary` does.
-        L = model.slots
-        browse_slots = int(np.searchsorted(np.arange(L + 1) / L, model.boundary.boundary_ratio))
-        return lambda pool, C: bb_rates(pool, C, bitrate, browse_slots)
+        return lambda pool, C: bb_rates(pool, C, bitrate, model.browse_slots)
     raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")

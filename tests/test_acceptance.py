@@ -226,13 +226,12 @@ def test_criterion_8_behavior_model_exactness(departure_model):
         n = int(rng.integers(1, 60))
         q = rng.random(n) + 1e-6
         q /= q.sum()
-        h = behavior.DepartureHistogram(q)
-        back = behavior.histogram_from_rates(behavior.rates_from_histogram(h))
-        worst = max(worst, float(np.abs(back.q - h.q).max()))
+        back = behavior.histogram_from_rates(behavior.rates_from_histogram(q))
+        worst = max(worst, float(np.abs(back - q).max()))
     roundtrip_ok = worst <= 1e-12
 
-    q = departure_model.histogram.q
-    draws = behavior.sample_departure_slots(departure_model.cdf, rng.random(10**6))
+    q = departure_model.q
+    draws = departure_model.sample_slots(rng.random(10**6))
     observed = np.bincount(draws, minlength=q.size + 1)[1:].astype(float)
     expected = q * 10**6
     # chisquare requires matching totals; float round-off is re-normalized away.

@@ -16,6 +16,15 @@ SMALL = [
 ]
 
 
+def _exit_code(argv):
+    """The status `vodsim` exits with: what `main` returns, or the code of
+    the SystemExit that argparse raises on a bad flag."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def _rows(path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER
@@ -40,9 +49,16 @@ class TestRun:
         docs = json.loads(out.read_text())
         assert docs[0]["strategy"] == "be"
 
-    def test_empty_strategy_list_is_an_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli.main(["run", "--rho", "0.9", "--out", str(tmp_path / "x.csv")])
+    def test_empty_strategy_list_is_an_error(self, tmp_path, capsys):
+        assert _exit_code(["run", "--rho", "0.9", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error: the following arguments are required: --strategy" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_blank_strategy_list_is_an_error(self, tmp_path, capsys):
+        code = _exit_code(["run", "--strategy", "", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: argument --strategy: needs at least one strategy" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_strategy_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -99,7 +115,8 @@ class TestInputErrors:
     @pytest.mark.parametrize("args, message", [
         (["run", "--rho", "nan", *SMALL], "rho must be positive and finite, got nan"),
         (["run", "--rho", "inf", *SMALL], "rho must be positive and finite, got inf"),
-        (["sweep", "--rho", "0.8,nan", *SMALL], "rho must be positive and finite, got nan"),
+        (["sweep", "--rho", "0.8,nan", *SMALL],
+         "argument --rho: needs positive load points, got '0.8,nan'"),
         (["run", "--trace", "day.trace", "--trace-scale", "nan"],
          "trace scale must be positive and finite, got nan"),
         (["run", "--trace", "day.trace", "--trace-scale", "inf"],
@@ -108,7 +125,7 @@ class TestInputErrors:
     def test_rejects_nonfinite_load(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "day.trace").write_text("1\n2\n0\n3\n")
-        code = cli.main([*args, "--strategy", "be", "--out", "x.csv"])
+        code = _exit_code([*args, "--strategy", "be", "--out", "x.csv"])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
@@ -141,9 +158,10 @@ class TestSweep:
             assert float(row[2]) == 0.0  # percent_user
             assert float(row[5]) == 0.0  # freeze_ratio
 
-    def test_rejects_nonpositive_rho(self):
-        with pytest.raises(SystemExit):
-            cli.main(["sweep", "--strategy", "be", "--rho", "0,-1"])
+    def test_rejects_nonpositive_rho(self, capsys):
+        assert _exit_code(["sweep", "--strategy", "be", "--rho", "0,-1"]) == 2
+        assert ("error: argument --rho: needs positive load points, got '0,-1'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag, value", [
         ("--trace", "day.trace"),
@@ -164,8 +182,7 @@ class TestGen:
     def test_histogram_roundtrips_through_loader(self, tmp_path):
         out = tmp_path / "hist.txt"
         assert cli.main(["gen", "histogram", "--bins", "200", "--out", str(out)]) == 0
-        hist = load_histogram(out)
-        assert hist.bins == 200
+        assert load_histogram(out).size == 200
 
     def test_trace_has_requested_length(self, tmp_path):
         out = tmp_path / "trace.txt"
@@ -196,12 +213,14 @@ class TestConfigLayering:
         cfg.write_text("bogus = 1\n")
         assert cli.main(["run", "--strategy", "be", "--config", str(cfg)]) == 2
 
-    def test_histogram_bin_mismatch_rejected(self, tmp_path):
+    def test_histogram_bin_mismatch_rejected(self, tmp_path, capsys):
         hist = tmp_path / "hist.txt"
         behavior.save_histogram(behavior.synthetic_model(50, 0.4, 0.2, 0.3), hist)
-        with pytest.raises(SystemExit):
-            cli.main(["run", "--strategy", "be", "--video-length", "100",
-                      "--histogram", str(hist)])
+        code = _exit_code(["run", "--strategy", "be", "--video-length", "100",
+                           "--histogram", str(hist)])
+        assert code == 2
+        assert ("error: departure model has 50 slots but video_length is 100"
+                in capsys.readouterr().err)
 
 
 class TestVerify:

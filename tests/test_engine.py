@@ -14,7 +14,7 @@ from vodsim.strategy import STRATEGY_NAMES
 
 
 def _no_departure_model(L=20):
-    return behavior.DepartureModel.no_early_departure(L)
+    return behavior.DepartureModel(np.eye(L)[-1])
 
 
 def _columns(world, copy=False):
@@ -144,7 +144,7 @@ class TestAccounting:
         cfg = SimConfig(server_capacity=10.0, video_length=20, duration=60, warmup=0)
         q = np.zeros(20)
         q[4] = 1.0  # departs after viewing 5 of 20 slots
-        model = behavior.DepartureModel.from_histogram(behavior.DepartureHistogram(q))
+        model = behavior.DepartureModel(q)
         result = engine.run(
             cfg, "be", arrivals.ArrivalProcess.trace([1] + [0] * 59), model
         )
@@ -245,6 +245,9 @@ def _check_every_slot(cfg, strategy, model, counts):
 
         def checked(pool, C):
             assert np.all(pool.cap >= 0.0)  # the fills rely on it
+            # hazard_at indexes the model's rates by these slot counts.
+            v = pool.viewed
+            assert np.all((v == np.floor(v)) & (v >= 0) & (v < cfg.video_length))
             rates = alloc(pool, C)
             slot["before"] = before = _columns(world, copy=True)
             slot["rates"] = rates

@@ -2,14 +2,13 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vodsim.behavior import DepartureModel, PhaseBoundary
+from vodsim.behavior import DepartureModel
 from vodsim.strategy import (
     STRATEGY_NAMES,
     PoolState,
@@ -226,18 +225,21 @@ class TestBB:
 
     @pytest.mark.parametrize("length", [50, 60, 300])
     def test_slot_count_matches_viewing_ratio(self, length):
-        # The engine's bb pins a session while viewed / L is below the
-        # boundary ratio, for every slot count and every boundary, on or off
-        # the k / L grid.  At unlimited capacity a pinned session gets the
-        # bitrate and any other its whole cap of 2.
-        model = DepartureModel.synthetic(L=length)
+        # The engine's bb pins a session while its viewing ratio viewed / L
+        # is below the browsing phase's share browse_slots / L, for every
+        # slot count and every browse length in [0, L - 1]: a model with all
+        # its mass on bin k browses k + 1 slots, or none when k is the last.
+        # At unlimited capacity a pinned session gets the bitrate and any
+        # other its whole cap of 2.
         viewed = np.arange(length + 1, dtype=float)
         pool = _pool(viewed=viewed)
-        grid = (np.arange(length + 1) / length).tolist()
-        for b in [model.boundary.boundary_ratio, 0.0, 0.15, 1.0, *grid]:
-            alloc = make_allocator("bb", 1.0, replace(model, boundary=PhaseBoundary(b)))
-            rates = alloc(pool, math.inf)
-            assert np.array_equal(rates == 1.0, viewed / length < b), b
+        lengths = set()
+        for k in range(length):
+            model = DepartureModel(np.eye(length)[k])
+            rates = make_allocator("bb", 1.0, model)(pool, math.inf)
+            assert np.array_equal(rates == 1.0, viewed / length < model.browse_slots / length), k
+            lengths.add(model.browse_slots)
+        assert lengths == set(range(length))
 
 
 def _bb_parent(pool, C, bitrate, browse_slots):

@@ -138,6 +138,6 @@ def diurnal_trace(
 
 def target_bandwidth_from_peak(peak_bw: float, fraction: float) -> float:
     """Finite capacity for capped re-runs, e.g. 95% of a reference peak."""
-    if peak_bw <= 0 or fraction <= 0:
-        raise ValueError("peak_bw and fraction must be positive")
+    if not (peak_bw > 0 and fraction > 0):  # NaN fails
+        raise ValueError(f"peak_bw and fraction must be positive, got {peak_bw} and {fraction}")
     return fraction * peak_bw

@@ -33,6 +33,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN fails
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
 def load_config_file(path) -> dict:
     """Flat key = value document mirroring SimConfig field names."""
     out = {}
@@ -77,7 +84,9 @@ def build_config(args) -> SimConfig:
     for key, val in flag_map.items():
         if val is not None:
             values[key] = val
-    return SimConfig(**values)
+    config = SimConfig(**values)
+    config.validate()
+    return config
 
 
 def _strategies(arg: str) -> list[str]:
@@ -127,6 +136,15 @@ def _repetition_seeds(seed: int, repetitions: int) -> list[int]:
     return [seed] + [int(c.generate_state(1)[0]) for c in children]
 
 
+def _check_measured(config: SimConfig) -> None:
+    """Reject a run whose warmup leaves no slot to measure."""
+    if config.warmup_slots >= config.duration:
+        raise ValueError(
+            f"warmup ({config.warmup_slots} slots) must be shorter than the "
+            f"duration ({config.duration} slots): no slot would be measured"
+        )
+
+
 def _experiment_rows(args, config, model, rho_values):
     """One (strategy, rho, report) row per requested combination."""
     if args.trace is None:
@@ -146,6 +164,7 @@ def _experiment_rows(args, config, model, rho_values):
             lam = engine.poisson_arrival_rate(rho, config, model)
             process = arrivals.ArrivalProcess.poisson(lam)
             cfg = config
+        _check_measured(cfg)
         if args.trace and args.target_fraction is not None:
             # Reference run: SC at unlimited capacity fixes the target peak.
             ref = engine.run(replace(cfg, server_capacity=math.inf), "sc", process, model)
@@ -301,7 +320,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--rho", type=float, default=0.995)
     p_run.add_argument("--trace", default=None, help="arrival trace file")
     p_run.add_argument("--trace-scale", type=float, default=1.0)
-    p_run.add_argument("--target-fraction", type=float, default=None,
+    p_run.add_argument("--target-fraction", type=_positive_finite, default=None,
                        help="cap capacity at this fraction of SC's unlimited peak (trace mode)")
     p_run.add_argument("--ledger-out", default=None,
                        help="write the last run's per-slot ledger table here")

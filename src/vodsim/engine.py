@@ -3,7 +3,11 @@
 Each slot runs, in order: arrivals, rate allocation, download, playback and
 freeze-state transitions, departures, accounting.  A run is strictly
 sequential and deterministic given its seed (one RNG substream feeds
-arrivals, another the departure-time draws).
+arrivals, another the departure-time draws).  The departure targets are
+drawn ahead, at least TARGET_CHUNK sessions at a time, and handed out in
+admission order; `Generator.random` gives the same doubles whether it is
+called in chunks or once per slot, so the targets are those of one draw
+per admitted session.
 
 Active sessions live in one preallocated float64 block of nine rows that
 grows geometrically: buffer, downloaded, skipped, arrival, target, playback,
@@ -13,12 +17,16 @@ arithmetic on them (`freeze_count += to_freeze`, `np.maximum(playback,
 target)`) gives the same bits as int64 columns would.
 Columns [0, n) are the n active sessions, oldest arrival first.  Admission
 writes the columns after them; playback and freeze updates are whole-row
-arithmetic over the first n columns.  A departure gathers the departing
-columns with one `take` and appends them to the `SessionLog`.  It then
-slides each run of survivors left over the gaps before it, in order, one
-slice per run.  The survivors keep their relative order, and that order
-must stay stable: it is the allocators' tie order and the order of the
-float sums, so any reordering changes the output bytes.
+arithmetic over the first n columns, and a slot in which no session is
+frozen or freezes skips the freeze updates, which would change nothing.
+One scan of the slab finds the departing columns.  A departure gathers
+them with one `take` of the rows the log needs and appends them to the
+`SessionLog`.  It then copies the survivors into a spare slab of the same
+shape, the prefix before the first gap and then each run of survivors, one
+slice per run, and swaps the two slabs, so no copy overlaps its source.
+The survivors keep their relative order, and that order must stay stable:
+it is the allocators' tie order and the order of the float sums, so any
+reordering changes the output bytes.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ STARTUP, PLAYING, FROZEN = 0, 1, 2
 SLAB_ROWS = ("buffer", "downloaded", "skipped", "arrival", "target", "playback",
              "freeze_count", "freeze_time", "state")
 ARRIVAL, TARGET = SLAB_ROWS.index("arrival"), SLAB_ROWS.index("target")
+
+# Departure targets are drawn at least this many sessions at a time.
+TARGET_CHUNK = 4096
 
 LEDGER_HEADER = "slot,arrivals,active,bw_used,bw_wasted,departures"
 
@@ -132,31 +143,47 @@ class World:
         self.ledgers: list[SlotLedger] = []
         self.sessions = SessionLog()  # departed sessions, in departure order
         self._skip_mode = config.playback_model == "skip"
+        # Departure targets drawn ahead; the next session takes
+        # _targets[_next_target].
+        self._targets = np.zeros(0)
+        self._next_target = 0
         # The session slab: columns [0, _n) are the active sessions, rows as
-        # in SLAB_ROWS.
+        # in SLAB_ROWS.  Compaction copies the survivors into the spare slab
+        # of the same shape and swaps the two.
         self._n = 0
         self._slab = np.zeros((len(SLAB_ROWS), 0))
+        self._spare = np.zeros_like(self._slab)
 
     @property
     def active_count(self) -> int:
         return self._n
 
     def _admit(self, k: int) -> None:
-        draws = self._dep_rng.random(k)
-        targets = self.model.sample_slots(draws)
         n, m = self._n, self._n + k
         if m > self._slab.shape[1]:
             self._grow(max(m, 2 * self._slab.shape[1]))
         new = self._slab[:, n:m]
         new[:] = 0.0  # also sets state to STARTUP
         new[ARRIVAL] = self.slot
-        new[TARGET] = targets
+        new[TARGET] = self._take_targets(k)
         self._n = m
+
+    def _take_targets(self, k: int) -> np.ndarray:
+        """The next k departure targets, drawn at least TARGET_CHUNK at a
+        time; the chunking changes no target (see the module docstring)."""
+        i, j = self._next_target, self._next_target + k
+        if j > self._targets.size:
+            draws = self._dep_rng.random(max(TARGET_CHUNK, k))
+            self._targets = np.concatenate((self._targets[i:], self.model.sample_slots(draws)))
+            i, j = 0, k
+        self._next_target = j
+        return self._targets[i:j]
 
     def _grow(self, size: int) -> None:
         slab = np.empty((len(SLAB_ROWS), size))
         slab[:, : self._n] = self._slab[:, : self._n]
         self._slab = slab
+        self._spare = np.empty_like(slab)
 
     def step(self, n_arrivals: int = 0) -> SlotLedger:
         """Advance one slot: arrivals, allocation, download, playback, departures."""
@@ -183,7 +210,7 @@ class World:
             downloaded += rates
 
             state += in_startup & (buffer >= cfg.startup_threshold)  # STARTUP -> PLAYING
-            ledger.playing = int(np.count_nonzero(playing))
+            ledger.playing = n_playing = int(np.count_nonzero(playing))
             if self._skip_mode:
                 take = np.minimum(buffer[playing], 1.0)
                 buffer[playing] -= take
@@ -191,30 +218,39 @@ class World:
                 skipped[playing] += 1.0 - take
                 ledger.consumed = float(take.sum())
             else:
-                exits = (state == FROZEN) & (buffer >= cfg.rebuffer_threshold)
-                state -= exits  # FROZEN -> PLAYING
+                # In a slot where no session is frozen or freezes, the freeze
+                # updates would add or subtract all-False masks, which leaves
+                # these nonnegative rows bit for bit; such a slot skips them.
+                n_frozen = n - n_playing - int(np.count_nonzero(in_startup))
+                if n_frozen:
+                    exits = (state == FROZEN) & (buffer >= cfg.rebuffer_threshold)
+                    state -= exits  # FROZEN -> PLAYING
                 consume = playing & (buffer - 1.0 > cfg.freeze_trigger)
                 buffer -= consume
                 playback += consume
-                to_freeze = playing ^ consume
-                state += to_freeze  # PLAYING -> FROZEN
-                freeze_count += to_freeze
-                freeze_time += state == FROZEN
-                ledger.consumed = float(np.count_nonzero(consume))
+                n_consumed = int(np.count_nonzero(consume))
+                ledger.consumed = float(n_consumed)
+                if n_consumed < n_playing:
+                    to_freeze = playing ^ consume
+                    state += to_freeze  # PLAYING -> FROZEN
+                    freeze_count += to_freeze
+                if n_frozen or n_consumed < n_playing:
+                    freeze_time += state == FROZEN
 
             departing = (playback >= target) | (downloaded >= cfg.file_size - 1e-9)
-            if departing.any():
-                self._depart(departing, ledger)
+            gone = departing.nonzero()[0]
+            if gone.size:
+                self._depart(gone, ledger)
         self.ledgers.append(ledger)
         self.slot += 1
         return ledger
 
-    def _depart(self, departing: np.ndarray, ledger: SlotLedger) -> None:
-        """Log the departing sessions, then compact the slab stably."""
+    def _depart(self, gone: np.ndarray, ledger: SlotLedger) -> None:
+        """Log the sessions in columns `gone` (ascending), then compact the
+        slab stably into the spare slab and swap the two."""
         cfg = self.config
-        gone = departing.nonzero()[0]
-        (_, downloaded, skipped, arrival, target, playback,
-         freeze_count, freeze_time, _) = self._slab.take(gone, axis=1)
+        (downloaded, skipped, arrival, target, playback,
+         freeze_count, freeze_time) = self._slab[1:8].take(gone, axis=1)  # not buffer, state
         # Download-complete departures get credited up to their target:
         # the buffered tail up to the target would still be viewed.
         if self._skip_mode:
@@ -225,24 +261,27 @@ class World:
         ledger.bw_wasted = float(waste.sum())
         ledger.departures = gone.size
         self.sessions.append(arrival, freeze_count, freeze_time, playback, waste)
-        self._n = _compact(self._slab, self._n, gone)
+        self._n = _compact(self._slab, self._spare, self._n, gone)
+        self._slab, self._spare = self._spare, self._slab
 
 
-def _compact(slab: np.ndarray, n: int, gone: np.ndarray) -> int:
-    """Drop the columns `gone` (ascending, all below n) from the first n
-    columns of `slab` by sliding each run of survivors left over the gaps
-    before it, one slice per run, so the survivors keep their relative order.
-    Returns the survivor count.
+def _compact(src: np.ndarray, dst: np.ndarray, n: int, gone: np.ndarray) -> int:
+    """Copy the first n columns of `src`, except the columns `gone`
+    (ascending, all below n), to the front of `dst`: the prefix before the
+    first gap, then each run of survivors, one slice per run.  The survivors
+    keep their relative order, and no copy overlaps its source.  Returns the
+    survivor count.
     """
     ends = gone.tolist()
     ends.append(n)
-    dst = ends[0]
-    for src, end in zip(ends, ends[1:]):
-        width = end - src - 1
+    at = ends[0]
+    dst[:, :at] = src[:, :at]
+    for start, end in zip(ends, ends[1:]):
+        width = end - start - 1
         if width:
-            slab[:, dst : dst + width] = slab[:, src + 1 : end]
-            dst += width
-    return dst
+            dst[:, at : at + width] = src[:, start + 1 : end]
+            at += width
+    return at
 
 
 @dataclass
@@ -332,6 +371,7 @@ def poisson_arrival_rate(rho: float, config: SimConfig, model: DepartureModel) -
     """Poisson arrival rate per slot for offered load `rho` on `config`'s
     server, sized with `planning_viewing_ratio` of the model's mean viewing
     ratio."""
+    config.validate()
     estimate = planning_viewing_ratio(
         model.mean_viewing_ratio,
         config.video_length,

@@ -148,3 +148,10 @@ class TestTargetBandwidth:
 
     def test_half(self):
         assert target_bandwidth_from_peak(241004, 0.5) == 120502
+
+    @pytest.mark.parametrize("peak, fraction", [
+        (1000.0, math.nan), (math.nan, 0.95), (1000.0, 0.0), (0.0, 0.95),
+    ])
+    def test_rejects_nonpositive_and_nan(self, peak, fraction):
+        with pytest.raises(ValueError, match="peak_bw and fraction must be positive"):
+            target_bandwidth_from_peak(peak, fraction)

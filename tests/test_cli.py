@@ -130,6 +130,45 @@ class TestInputErrors:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--duration", "200", "--warmup", "500"],
+         "warmup (500 slots) must be shorter than the duration (200 slots)"),
+        (["--duration", "0"], "warmup (200 slots) must be shorter than the duration (0 slots)"),
+        (["--duration", "300", "--warmup", "300"],
+         "warmup (300 slots) must be shorter than the duration (300 slots)"),
+    ], ids=["warmup-above", "zero-duration", "warmup-equal"])
+    def test_warmup_leaves_no_measured_slot(self, tmp_path, capsys, command, flags, message):
+        code = _exit_code([command, "--strategy", "be", "--rho", "0.9", "--capacity", "50",
+                           "--video-length", "100", *flags, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_rejects_nan_bitrate(self, tmp_path, capsys):
+        code = _exit_code(["run", "--strategy", "be", "--bitrate", "nan", "--rho", "0.9",
+                           *SMALL, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: bitrate must be positive, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+    def test_rejects_bad_target_fraction_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                        value):
+        def no_run(*args):
+            raise AssertionError("the flag must be checked before the reference run")
+
+        monkeypatch.setattr(cli.engine, "run", no_run)
+        trace = tmp_path / "day.trace"
+        trace.write_text("1\n2\n0\n3\n" * 100)
+        code = _exit_code(["run", "--strategy", "be", "--trace", str(trace),
+                           "--capacity", "unlimited", "--video-length", "100",
+                           "--target-fraction", value, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert ("error: argument --target-fraction: must be positive and finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
+
     def test_target_fraction_without_trace(self, tmp_path, capsys):
         code = cli.main(["run", "--strategy", "be", "--target-fraction", "0.9",
                          *SMALL, "--out", str(tmp_path / "x.csv")])

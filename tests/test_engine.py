@@ -63,6 +63,11 @@ class TestPoissonArrivalRate:
                                         cfg.bitrate, estimate)
         assert engine.poisson_arrival_rate(rho, cfg, model) == expected
 
+    def test_validates_the_config_first(self):
+        cfg = SimConfig(bitrate=math.nan)
+        with pytest.raises(ValueError, match="bitrate must be positive, got nan"):
+            engine.poisson_arrival_rate(0.9, cfg, behavior.DepartureModel.synthetic(L=300))
+
 
 class TestPlanningViewingRatio:
     def test_rounds_download_ratio_up(self):
@@ -258,10 +263,10 @@ def _check_every_slot(cfg, strategy, model, counts):
             return rates
         return checked
 
-    def compact(slab, n, gone):
+    def compact(src, dst, n, gone):
         slot["after_download"] = _columns(world, copy=True)
         slot["departing"] = np.isin(np.arange(n), gone)
-        return real_compact(slab, n, gone)
+        return real_compact(src, dst, n, gone)
 
     binding = 0
     with pytest.MonkeyPatch.context() as mp:
@@ -357,7 +362,7 @@ class TestCompaction:
         before = _columns(world, copy=True)
         departing = np.zeros(n, dtype=bool)
         departing[gone] = True
-        world._depart(departing, engine.SlotLedger(slot=0))
+        world._depart(departing.nonzero()[0], engine.SlotLedger(slot=0))
         assert world.active_count == n - len(gone)
         for name, column in _columns(world).items():
             assert np.array_equal(column, before[name][~departing])
@@ -369,3 +374,48 @@ class TestCompaction:
         assert np.array_equal(logged[3], ref["playback"])
         viewed = np.maximum(ref["playback"], ref["target"])
         assert np.array_equal(logged[4], np.maximum(ref["downloaded"] - viewed, 0.0))
+
+    def test_grow_right_after_a_swap(self):
+        # A departure swaps the slab with its spare; growing the slab next
+        # must carry the survivors over and leave a spare of the new size.
+        world = _filled_world(50)
+        before = _columns(world, copy=True)
+        departing = np.zeros(50, dtype=bool)
+        departing[[0, 7, 8, 30, 49]] = True
+        world._depart(departing.nonzero()[0], engine.SlotLedger(slot=0))
+        assert world._slab.shape[1] == 50
+        world._admit(20)  # 45 + 20 > 50 columns: grows
+        assert world._slab.shape == world._spare.shape
+        assert world._slab.shape[1] > 50
+        columns = _columns(world)
+        for name, column in columns.items():
+            assert np.array_equal(column[:45], before[name][~departing])
+        assert np.all(columns["state"][45:] == engine.STARTUP)
+        assert np.all(columns["buffer"][45:] == 0.0)
+        # A second compaction goes through the grown spare slab.
+        grown = _columns(world, copy=True)
+        gone = np.array([3, 44, 45, 64])
+        world._depart(gone, engine.SlotLedger(slot=0))
+        keep = ~np.isin(np.arange(65), gone)
+        for name, column in _columns(world).items():
+            assert np.array_equal(column, grown[name][keep])
+
+
+class TestDepartureTargets:
+    """Targets are drawn ahead in chunks, yet every session gets the target a
+    draw per admitted session would give."""
+
+    @pytest.mark.parametrize("bursts", [
+        [1, 3, 4097, 5000],
+        [5000, 1, 3, 4097],
+        [engine.TARGET_CHUNK - 1, 1, 1, engine.TARGET_CHUNK, 2],
+    ])
+    def test_equal_one_draw_of_all_sessions(self, bursts):
+        cfg = SimConfig(video_length=300, seed=11)
+        model = behavior.DepartureModel.synthetic(L=300)
+        world = World(cfg, "be", model)
+        for k in bursts:
+            world._admit(k)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+        expected = model.sample_slots(rng.random(sum(bursts)))
+        assert np.array_equal(_columns(world)["target"], expected)

@@ -121,8 +121,9 @@ def diurnal_trace(
     """
     if n_slots <= 0:
         raise ValueError("n_slots must be positive")
-    if base_rate < 0 or peak_rate < 0:
-        raise ValueError("rates must be nonnegative")
+    for name, value in (("base_rate", base_rate), ("peak_rate", peak_rate)):
+        if not 0 <= value < np.inf:  # NaN and inf fail
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
     rng = rng or np.random.default_rng()
     tau = np.arange(n_slots) / n_slots
 

@@ -115,10 +115,16 @@ def synthetic_model(
     """
     if L < 1:
         raise ValueError("L must be positive")
-    if browse_mass < 0 or complete_mass < 0 or browse_mass + complete_mass > 1 + _EPS:
-        raise ValueError("browse_mass + complete_mass must not exceed 1")
+    # Comparisons are written so that NaN fails them.
+    for name, mass in (("browse_mass", browse_mass), ("complete_mass", complete_mass)):
+        if not 0.0 <= mass <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {mass}")
+    if not browse_mass + complete_mass <= 1 + _EPS:
+        raise ValueError(
+            f"browse_mass + complete_mass must not exceed 1, got {browse_mass} + {complete_mass}"
+        )
     if not 0.0 < browse_width < 1.0:
-        raise ValueError("browse_width must lie in (0, 1)")
+        raise ValueError(f"browse_width must lie in (0, 1), got {browse_width}")
 
     q = np.zeros(L)
     n_browse = min(max(int(round(browse_width * L)), 1), max(L - 1, 1))

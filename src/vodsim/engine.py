@@ -200,8 +200,10 @@ class World:
             # to consume: those leaving startup or a freeze resume next slot.
             playing = state == PLAYING
             # The most each session can take this slot: its access link or
-            # what is left of its file, whichever is less.
-            cap = np.maximum(cfg.file_size - downloaded, 0.0)
+            # what is left of its file, whichever is less.  What is left is
+            # positive: a newcomer holds nothing, and a session within 1e-9
+            # of its file size departed at the end of the last slot.
+            cap = cfg.file_size - downloaded
             np.minimum(cap, cfg.access_cap, out=cap)
             pool = PoolState(buffer, playback, cap, in_startup, playing)
             rates = self._alloc(pool, cfg.server_capacity)

@@ -133,6 +133,12 @@ class TestDiurnalTrace:
         evening = counts[int(0.65 * 86400) : int(0.85 * 86400)].mean()
         assert night < midday < evening
 
+    @pytest.mark.parametrize("name", ["base_rate", "peak_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_nonfinite_and_negative_rates(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite, got {value}$"):
+            diurnal_trace(100, **{name: value}, rng=np.random.default_rng(10))
+
     def test_deterministic_given_rng(self):
         a = diurnal_trace(1000, rng=np.random.default_rng(10))
         b = diurnal_trace(1000, rng=np.random.default_rng(10))

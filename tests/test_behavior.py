@@ -1,5 +1,7 @@
 """Unit and property tests for the departure-behavior model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,19 @@ class TestSyntheticModel:
     def test_rejects_infeasible_mass(self):
         with pytest.raises(ValueError):
             synthetic_model(10, browse_mass=0.7, browse_width=0.2, complete_mass=0.5)
+
+    @pytest.mark.parametrize("name, message", [
+        ("browse_mass", "browse_mass must lie in [0, 1], got {}"),
+        ("complete_mass", "complete_mass must lie in [0, 1], got {}"),
+        ("browse_width", "browse_width must lie in (0, 1), got {}"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_mass_and_width(self, name, message, value):
+        args = dict(browse_mass=0.45, browse_width=0.15, complete_mass=0.35)
+        args[name] = value
+        with pytest.raises(ValueError) as exc:
+            synthetic_model(300, **args)
+        assert str(exc.value) == message.format(value)
 
     def test_default_preset_calibration(self):
         model = DepartureModel.synthetic(L=300)

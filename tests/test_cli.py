@@ -233,6 +233,25 @@ class TestGen:
                          "--out", str(tmp_path / "h.txt")])
         assert code != 0
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--browse-mass", "browse_mass"), ("--complete-mass", "complete_mass"),
+    ])
+    def test_nan_mass_is_a_usage_error(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "h.txt"
+        assert cli.main(["gen", "histogram", flag, "nan", "--out", str(out)]) == 2
+        assert f"error: {name} must lie in [0, 1], got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--base-rate", "nan"), ("--base-rate", "inf"), ("--peak-rate", "nan"),
+    ])
+    def test_nonfinite_trace_rate_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "day.trace"
+        assert cli.main(["gen", "trace", "--slots", "100", flag, value, "--out", str(out)]) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be nonnegative and finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigLayering:
     def test_flags_override_config_file(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vodsim import arrivals, behavior, engine
+from vodsim import arrivals, behavior, engine, strategy
 from vodsim.engine import SimConfig, World, load_to_arrival_rate, planning_viewing_ratio
 from vodsim.strategy import STRATEGY_NAMES
 
@@ -204,6 +204,48 @@ class TestDeterminism:
         assert a.report == b.report
         assert [l.row() for l in a.ledgers] == [l.row() for l in b.ledgers]
 
+    def test_ew_worlds_stepped_in_turn(self):
+        # ew's allocator carries its last water level from slot to slot.  Two
+        # worlds stepped in turn give the ledgers and session logs of two runs
+        # made one after the other, and each passes `_level_fill` the bounds
+        # its own run passes, so the carried level belongs to its world.
+        model = behavior.DepartureModel.synthetic(L=60)
+        worlds = [(SimConfig(server_capacity=40.0, video_length=60, duration=600, seed=seed),
+                   arrivals.ArrivalProcess.poisson(lam).generate(600, np.random.default_rng(seed)))
+                  for seed, lam in ((3, 1.1), (4, 0.9))]
+        bounds = []
+        real = strategy._level_fill
+
+        def spy(floors, weights, caps, budget, below=None):
+            if weights is not None:
+                bounds.append(below)
+            return real(floors, weights, caps, budget, below)
+
+        def record(world, count, trail):
+            del bounds[:]
+            world.step(int(count))
+            trail.append(list(bounds))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strategy, "_level_fill", spy)
+            alone = []
+            for cfg, counts in worlds:
+                world, trail = World(cfg, "ew", model), []
+                for c in counts:
+                    record(world, c, trail)
+                alone.append((world, trail))
+            turns = [(World(cfg, "ew", model), []) for cfg, _ in worlds]
+            for slot_counts in zip(*(counts for _, counts in worlds)):
+                for (world, trail), c in zip(turns, slot_counts):
+                    record(world, c, trail)
+        for (a, a_trail), (b, b_trail) in zip(alone, turns):
+            assert [l.row() for l in a.ledgers] == [l.row() for l in b.ledgers]
+            assert a.sessions.columns.tobytes() == b.sessions.columns.tobytes()
+            assert a_trail == b_trail
+        # Capacity binds, so the fills took the bound; the two worlds' bounds differ.
+        assert sum(b is not None for t in alone[0][1] for b in t) > 100
+        assert alone[0][1] != alone[1][1]
+
     def test_seed_changes_results(self):
         cfg = SimConfig(server_capacity=40.0, video_length=80, duration=800, warmup=160)
         model = behavior.DepartureModel.synthetic(L=80)
@@ -249,7 +291,7 @@ def _check_every_slot(cfg, strategy, model, counts):
         alloc = real_make_allocator(*args)
 
         def checked(pool, C):
-            assert np.all(pool.cap >= 0.0)  # the fills rely on it
+            assert np.all(pool.cap > 0.0)  # the fills rely on cap >= 0
             # hazard_at indexes the model's rates by these slot counts.
             v = pool.viewed
             assert np.all((v == np.floor(v)) & (v >= 0) & (v < cfg.video_length))

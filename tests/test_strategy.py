@@ -116,13 +116,73 @@ class TestLeanFill:
         pool = PoolState(buffer=buffer, viewed=np.zeros(n), cap=caps,
                          in_startup=np.zeros(n, dtype=bool), playing=playing.astype(bool))
         C = _budget(share, caps)
-        masked = _buffer_fill(pool, C, 1.0, weights)
-        short = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, weights[:-1])
+        masked, masked_level = _buffer_fill(pool, C, 1.0, weights)
+        short, short_level = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, weights[:-1])
         assert masked[-1] == 0.0
         assert masked[:-1].tobytes() == short.tobytes()
-        unit = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, None)
-        ones = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, np.ones(n - 1))
+        assert np.float64(masked_level).tobytes() == np.float64(short_level).tobytes()
+        unit, _ = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, None)
+        ones, _ = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, np.ones(n - 1))
         assert unit.tobytes() == ones.tobytes()
+
+
+# Weights with many distinct values, whose slope sums round.
+_level_weights = st.one_of(st.sampled_from([1 / 3, 1 / 7, 0.1, 0.3, 0.7, 1.0]),
+                           st.floats(min_value=1e-3, max_value=1.0))
+
+
+def _bits(x, level):
+    return x.tobytes(), np.float64(level).tobytes()
+
+
+class TestLevelBound:
+    """`below` decides only how many breakpoints `_level_fill` sorts first:
+    any bound gives the unbounded call's bits."""
+
+    @given(st.lists(st.tuples(_buffers, st.booleans(), _caps, _level_weights),
+                    min_size=1, max_size=30),
+           st.booleans(), _shares, st.sampled_from([None, 0.5, 1.0, 2.0, 3.0]),
+           st.floats(min_value=-0.5, max_value=0.5))
+    @settings(max_examples=400, deadline=None)
+    def test_any_bound_gives_the_unbounded_bits(self, users, unit, share, budget, offset):
+        # A budget of a few whole units often equals what is spent at a
+        # breakpoint, the edge of the bounded path's test.
+        buffer, playing, caps, weights = (np.array(c, dtype=float) for c in zip(*users))
+        floors = buffer - playing
+        weights = None if unit else weights
+        if budget is None:
+            budget = _budget(share, caps)
+        expected = _bits(*_level_fill(floors, weights, caps, budget))
+        level = _level_fill(floors, weights, caps, budget)[1]
+        w = 1.0 if weights is None else weights
+        # Every breakpoint, the level and their neighbours, a drawn point
+        # near the level, and the bounds that select nothing or everything.
+        anchors = [*(w * floors), *(w * (floors + caps))]
+        if math.isfinite(level):
+            anchors += [level, level + offset * abs(level), level + 0.01 * abs(level)]
+        bounds = [math.inf, -math.inf, math.nan]
+        for a in anchors:
+            bounds += [np.nextafter(a, -math.inf), a, np.nextafter(a, math.inf)]
+        for below in bounds:
+            got = _bits(*_level_fill(floors, weights, caps, budget, below=float(below)))
+            assert got == expected, below
+
+    def test_dip_takes_the_first_crossing(self):
+        # Users 3 and 0 rise up to 1/3 and spend the whole budget; no user
+        # rises between 1/3 and 1, and the slope sums round below zero there,
+        # so `spent` dips back under the budget.  A binary search over that
+        # dip could return a level past it, which gives user 2 a few ulps
+        # and spends more than the budget.  The level is taken where the
+        # budget first runs out, whatever the bound.
+        floors = np.array([2.0, 1.0, 3.0, -1.0])
+        weights = np.array([0.1, 0.3, 1 / 3, 1 / 3])
+        caps = np.array([1.0, 0.0, 2.0, 2.0])
+        x, level = _level_fill(floors, weights, caps, 3.0)
+        assert level < 1.0
+        assert x[2] == 0.0
+        assert x.sum() <= 3.0
+        for below in (0.2, 1 / 3, 0.5, 1.0, 1.5, math.inf):
+            assert _bits(*_level_fill(floors, weights, caps, 3.0, below)) == _bits(x, level)
 
 
 class TestSC:
@@ -169,6 +229,15 @@ class TestEB:
     def test_symmetric_split(self):
         rates = eb_rates(_pool(buffers=[0.0, 0.0]), C=1.0, bitrate=1.0)
         np.testing.assert_allclose(rates, [0.5, 0.5])
+
+    def test_cap_lost_next_to_its_floor(self):
+        # 1 + 1e-313 == 1, so this cap never moves its breakpoint and no
+        # budget is spent on it; one ulp short of it, eb gives nothing rather
+        # than the whole cap.
+        pool = _pool(buffers=1.0, caps=1e-313, playing=False, n=1)
+        C = float(np.nextafter(1e-313, 0.0))
+        assert eb_rates(pool, C, bitrate=1.0).tolist() == [0.0]
+        assert eb_rates(pool, 1e-313, bitrate=1.0).tolist() == [1e-313]
 
 
 class TestEW:

@@ -152,8 +152,8 @@ class TestLevelBound:
         weights = None if unit else weights
         if budget is None:
             budget = _budget(share, caps)
-        expected = _bits(*_level_fill(floors, weights, caps, budget))
-        level = _level_fill(floors, weights, caps, budget)[1]
+        x, level = _level_fill(floors, weights, caps, budget)
+        expected = _bits(x, level)
         w = 1.0 if weights is None else weights
         # Every breakpoint, the level and their neighbours, a drawn point
         # near the level, and the bounds that select nothing or everything.

@@ -79,16 +79,15 @@ def _level_fill(floors, weights, caps, budget, below=None):
         points[n:] *= weights
         np.divide(1.0, weights, out=slopes[:n])
         np.negative(slopes[:n], out=slopes[n:])
-    unit = weights is None
     if below is not None:
         low = points <= below
         index = low.nonzero()[0]
         if 0 < index.size < 2 * n:
-            level = _level_from(points[index], slopes[index], budget, unit,
+            level = _level_from(points[index], slopes[index], budget,
                                 lambda: points[~low].min())
             if level is not None:
                 return _level_x(level, floors, weights, caps)
-    level = _level_from(points, slopes, budget, unit)
+    level = _level_from(points, slopes, budget)
     if level is None:
         # Round-off: the budget is below the caps' sum but outlasts the top
         # breakpoint.  A cap too small to move its user's breakpoint
@@ -100,11 +99,11 @@ def _level_fill(floors, weights, caps, budget, below=None):
     return _level_x(level, floors, weights, caps)
 
 
-def _level_from(points, slopes, budget, unit, next_point=None):
+def _level_from(points, slopes, budget, next_point=None):
     """The level at which the budget runs out, from these breakpoints alone,
-    or None if it outlasts them.  `unit` says every slope is +-1.  When some
-    breakpoints were left out, `next_point()` gives the smallest of them, and
-    None means the budget reaches it.
+    or None if it outlasts them.  When some breakpoints were left out,
+    `next_point()` gives the smallest of them, and None means the budget
+    reaches it.
     """
     # Stable: tied breakpoints keep their order, and the float slope sums
     # depend on it.
@@ -119,16 +118,14 @@ def _level_from(points, slopes, budget, unit, next_point=None):
     gaps *= slope[:-1]
     gaps.cumsum(out=spent[1:])
     # k is the breakpoint before the first at which more than the budget is
-    # spent, or the last one.  Unit slopes sum exactly, so `spent` never
-    # falls and a binary search finds it.  Weighted slope sums can round
-    # below zero where no user rises, and `spent` then dips by a few ulps;
-    # the first crossing, found by a scan, is the same one in a prefix as in
-    # the full order, where a binary search could land past the dip.
-    # spent[0] = 0 < budget, so argmax gives 0 only when no entry is over.
-    if unit:
-        k = int(spent.searchsorted(budget, side="right")) - 1
-    else:
-        k = (int((spent > budget).argmax()) or m) - 1
+    # spent, or the last one.  Weighted slope sums can round below zero where
+    # no user rises, and `spent` then dips by a few ulps; the first crossing,
+    # found by a scan, is the same one in a prefix as in the full order,
+    # where a binary search could land past the dip.  Unit slopes sum
+    # exactly, so there `spent` never falls and the scan finds the binary
+    # search's k.  spent[0] = 0 < budget, so argmax gives 0 only when no
+    # entry is over.
+    k = (int((spent > budget).argmax()) or m) - 1
     # Past the last breakpoint here, the spent at the next one is the
     # multiply-add the full order's cumsum makes.
     if k == m - 1 and (next_point is None

@@ -44,11 +44,20 @@ class ArrivalProcess:
         if self.kind == "poisson" and not 0 <= self.lam < np.inf:  # NaN, inf fail
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.kind == "trace":
-            c = np.asarray(self.counts, dtype=np.int64)
+            c = np.asarray(self.counts)
             if c.ndim != 1 or c.size == 0:
                 raise ValueError("trace must be a nonempty 1-d count sequence")
-            if np.any(c < 0):
-                raise ValueError("trace counts must be nonnegative")
+            if c.dtype.kind not in "biu":
+                # Whole-valued floats are counts; a cast would truncate the rest.
+                c = c.astype(float)
+                whole = np.isfinite(c) & (np.floor(c) == c)
+                if not whole.all():
+                    bad = c[np.argmin(whole)]
+                    raise ValueError(f"trace counts must be whole numbers, got {bad}")
+            c = c.astype(np.int64, copy=False)
+            negative = c < 0
+            if negative.any():
+                raise ValueError(f"trace counts must be nonnegative, got {c[negative.argmax()]}")
             if not 0 < self.scale < np.inf:
                 raise ValueError(f"trace scale must be positive and finite, got {self.scale}")
             self.counts = c

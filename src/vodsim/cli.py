@@ -33,6 +33,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _positive_finite(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:  # NaN fails
@@ -302,7 +309,7 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("--strategy", type=_strategies, required=True,
                        help="comma-separated list: " + ",".join(STRATEGY_NAMES))
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_nonnegative_int, default=None)
         p.add_argument("--capacity", type=_parse_capacity, default=None,
                        help="server capacity in Mb/s, or 'unlimited'")
         p.add_argument("--histogram", default=None, help="departure histogram file")
@@ -336,7 +343,7 @@ def main(argv=None) -> int:
     p_gen = sub.add_parser("gen", help="generate synthetic inputs")
     p_gen.add_argument("kind", choices=("trace", "histogram"))
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=12345)
+    p_gen.add_argument("--seed", type=_nonnegative_int, default=12345)
     p_gen.add_argument("--slots", type=int, default=86400)
     p_gen.add_argument("--base-rate", type=float, default=0.3)
     p_gen.add_argument("--peak-rate", type=float, default=4.0)
@@ -347,7 +354,7 @@ def main(argv=None) -> int:
     p_gen.set_defaults(func=cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run the analytical-claim oracles")
-    p_verify.add_argument("--seed", type=int, default=12345)
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=12345)
     p_verify.add_argument("--cases", type=int, default=20)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -10,20 +10,28 @@ called in chunks or once per slot, so the targets are those of one draw
 per admitted session.
 
 Active sessions live in one preallocated float64 block of nine rows that
-grows geometrically: buffer, downloaded, skipped, arrival, target, playback,
-freeze_count, freeze_time and state.  The integer rows hold slot counts and
-the state code, all far below 2**53, so float64 stores them exactly and the
-arithmetic on them (`freeze_count += to_freeze`, `np.maximum(playback,
-target)`) gives the same bits as int64 columns would.
+grows geometrically: buffer, state, skipped, downloaded, arrival,
+freeze_count, freeze_time, playback and target.  The integer rows hold slot
+counts and the state code, all far below 2**53, so float64 stores them
+exactly and the arithmetic on them (`freeze_count += to_freeze`,
+`np.maximum(playback, target)`) gives the same bits as int64 columns would.
+The rows a departure reads, skipped to target, come last and in one run,
+and their last five, arrival to target, are the session log's fields in its
+order once waste takes target's place.  So a departure gathers one
+contiguous block, computes waste in the block's target row and appends the
+block's last five rows to the `SessionLog` as they are.
 Columns [0, n) are the n active sessions, oldest arrival first.  Admission
 writes the columns after them; playback and freeze updates are whole-row
 arithmetic over the first n columns, and a slot in which no session is
 frozen or freezes skips the freeze updates, which would change nothing.
-One scan of the slab finds the departing columns.  A departure gathers
-them with one `take` of the rows the log needs and appends them to the
-`SessionLog`.  It then copies the survivors into a spare slab of the same
-shape, the prefix before the first gap and then each run of survivors, one
-slice per run, and swaps the two slabs, so no copy overlaps its source.
+No allocator's result shares memory with the pool it was given, and none
+keeps the pool, so once the allocator returns `step` reuses the pool's `cap`
+row as scratch (for rates / bitrate, buffer - 1.0 and the 0.0/1.0 consumed
+step) and writes the departure test into the startup and playing masks.
+One scan of that test finds the departing columns.  After the log append,
+a departure copies the survivors into a spare slab of the same shape, the
+prefix before the first gap and then each run of survivors, one slice per
+run, and swaps the two slabs, so no copy overlaps its source.
 The survivors keep their relative order, and that order must stay stable:
 it is the allocators' tie order and the order of the float sums, so any
 reordering changes the output bytes.
@@ -46,9 +54,9 @@ from .strategy import PoolState, make_allocator
 STARTUP, PLAYING, FROZEN = 0, 1, 2
 
 # Rows of the session slab, in order.
-SLAB_ROWS = ("buffer", "downloaded", "skipped", "arrival", "target", "playback",
-             "freeze_count", "freeze_time", "state")
-ARRIVAL, TARGET = SLAB_ROWS.index("arrival"), SLAB_ROWS.index("target")
+SLAB_ROWS = ("buffer", "state", "skipped", "downloaded", "arrival", "freeze_count",
+             "freeze_time", "playback", "target")
+SKIPPED, ARRIVAL, TARGET = (SLAB_ROWS.index(r) for r in ("skipped", "arrival", "target"))
 
 # Departure targets are drawn at least this many sessions at a time.
 TARGET_CHUNK = 4096
@@ -81,10 +89,17 @@ class SimConfig:
             raise ValueError("video_length must be positive")
         if not self.freeze_trigger >= 0:
             raise ValueError(f"freeze_trigger must be nonnegative, got {self.freeze_trigger}")
+        # Only the capacities may be unlimited.
+        for name in ("bitrate", "startup_threshold", "rebuffer_threshold", "freeze_trigger"):
+            value = getattr(self, name)
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.rebuffer_threshold >= self.freeze_trigger:
             raise ValueError("rebuffer_threshold must be >= freeze_trigger")
         if self.playback_model not in ("freeze", "skip"):
             raise ValueError("playback_model must be 'freeze' or 'skip'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
         if self.warmup is not None and self.warmup < 0:
@@ -143,6 +158,16 @@ class World:
         self.ledgers: list[SlotLedger] = []
         self.sessions = SessionLog()  # departed sessions, in departure order
         self._skip_mode = config.playback_model == "skip"
+        # The config's scalars, read once rather than on every slot.  A
+        # session has its whole file once `downloaded >= _complete_at`.
+        self._file_size = config.file_size
+        self._complete_at = self._file_size - 1e-9
+        self._access_cap = config.access_cap
+        self._capacity = config.server_capacity
+        self._bitrate = config.bitrate
+        self._startup_threshold = config.startup_threshold
+        self._rebuffer_threshold = config.rebuffer_threshold
+        self._freeze_trigger = config.freeze_trigger
         # Departure targets drawn ahead; the next session takes
         # _targets[_next_target].
         self._targets = np.zeros(0)
@@ -187,14 +212,13 @@ class World:
 
     def step(self, n_arrivals: int = 0) -> SlotLedger:
         """Advance one slot: arrivals, allocation, download, playback, departures."""
-        cfg = self.config
         if n_arrivals:
             self._admit(n_arrivals)
         n = self._n
         ledger = SlotLedger(slot=self.slot, arrivals=n_arrivals, active=n)
         if n:
-            (buffer, downloaded, skipped, _, target, playback,
-             freeze_count, freeze_time, state) = self._slab[:, :n]
+            (buffer, state, skipped, downloaded, _, freeze_count, freeze_time,
+             playback, target) = self._slab[:, :n]
             in_startup = state == STARTUP
             # Sessions playing at the start of the slot are the ones that try
             # to consume: those leaving startup or a freeze resume next slot.
@@ -203,15 +227,16 @@ class World:
             # what is left of its file, whichever is less.  What is left is
             # positive: a newcomer holds nothing, and a session within 1e-9
             # of its file size departed at the end of the last slot.
-            cap = cfg.file_size - downloaded
-            np.minimum(cap, cfg.access_cap, out=cap)
+            cap = self._file_size - downloaded
+            np.minimum(cap, self._access_cap, out=cap)
             pool = PoolState(buffer, playback, cap, in_startup, playing)
-            rates = self._alloc(pool, cfg.server_capacity)
-            ledger.bw_used = float(rates.sum())
-            buffer += rates / cfg.bitrate
+            rates = self._alloc(pool, self._capacity)
+            scratch = cap  # the pool is done with (see the module docstring)
+            ledger.bw_used = float(np.add.reduce(rates))
+            buffer += np.divide(rates, self._bitrate, out=scratch)
             downloaded += rates
 
-            state += in_startup & (buffer >= cfg.startup_threshold)  # STARTUP -> PLAYING
+            state += in_startup & (buffer >= self._startup_threshold)  # STARTUP -> PLAYING
             ledger.playing = n_playing = int(np.count_nonzero(playing))
             if self._skip_mode:
                 take = np.minimum(buffer[playing], 1.0)
@@ -225,11 +250,12 @@ class World:
                 # these nonnegative rows bit for bit; such a slot skips them.
                 n_frozen = n - n_playing - int(np.count_nonzero(in_startup))
                 if n_frozen:
-                    exits = (state == FROZEN) & (buffer >= cfg.rebuffer_threshold)
+                    exits = (state == FROZEN) & (buffer >= self._rebuffer_threshold)
                     state -= exits  # FROZEN -> PLAYING
-                consume = playing & (buffer - 1.0 > cfg.freeze_trigger)
-                buffer -= consume
-                playback += consume
+                consume = playing & (np.subtract(buffer, 1.0, out=scratch) > self._freeze_trigger)
+                scratch[:] = consume  # the step as 0.0/1.0, cast once for both rows
+                buffer -= scratch
+                playback += scratch
                 n_consumed = int(np.count_nonzero(consume))
                 ledger.consumed = float(n_consumed)
                 if n_consumed < n_playing:
@@ -239,7 +265,8 @@ class World:
                 if n_frozen or n_consumed < n_playing:
                     freeze_time += state == FROZEN
 
-            departing = (playback >= target) | (downloaded >= cfg.file_size - 1e-9)
+            departing = np.greater_equal(playback, target, out=in_startup)
+            departing |= np.greater_equal(downloaded, self._complete_at, out=playing)
             gone = departing.nonzero()[0]
             if gone.size:
                 self._depart(gone, ledger)
@@ -250,19 +277,23 @@ class World:
     def _depart(self, gone: np.ndarray, ledger: SlotLedger) -> None:
         """Log the sessions in columns `gone` (ascending), then compact the
         slab stably into the spare slab and swap the two."""
-        cfg = self.config
-        (downloaded, skipped, arrival, target, playback,
-         freeze_count, freeze_time) = self._slab[1:8].take(gone, axis=1)  # not buffer, state
+        # Rows skipped, downloaded, arrival, freeze_count, freeze_time,
+        # playback and target; the last five are the log's fields once waste
+        # replaces target.  Indexing three rows is cheaper than unpacking seven.
+        block = self._slab[SKIPPED:].take(gone, axis=1)
+        downloaded, playback, waste = block[1], block[5], block[6]
         # Download-complete departures get credited up to their target:
         # the buffered tail up to the target would still be viewed.
         if self._skip_mode:
-            viewed = playback - skipped
+            np.subtract(playback, block[0], out=waste)  # viewed: block[0] is skipped
         else:
-            viewed = np.maximum(playback, target)
-        waste = np.maximum(downloaded - viewed * cfg.bitrate, 0.0)
-        ledger.bw_wasted = float(waste.sum())
+            np.maximum(playback, waste, out=waste)  # viewed: waste holds target
+        waste *= self._bitrate
+        np.subtract(downloaded, waste, out=waste)
+        np.maximum(waste, 0.0, out=waste)
+        ledger.bw_wasted = float(np.add.reduce(waste))
         ledger.departures = gone.size
-        self.sessions.append(arrival, freeze_count, freeze_time, playback, waste)
+        self.sessions.append(block[ARRIVAL - SKIPPED:])
         self._n = _compact(self._slab, self._spare, self._n, gone)
         self._slab, self._spare = self._spare, self._slab
 

@@ -33,15 +33,16 @@ class SessionLog:
         """(fields, sessions) view, rows in `FIELDS` order."""
         return self._block[:, : self._n]
 
-    def append(self, *columns) -> None:
-        """Append sessions given as one array per field, in `FIELDS` order."""
+    def append(self, block: np.ndarray) -> None:
+        """Append sessions given as one (fields, sessions) block, rows in
+        `FIELDS` order."""
         k = self._n
-        m = k + len(columns[0])
+        m = k + block.shape[1]
         if m > self._block.shape[1]:
             grown = np.empty((len(self.FIELDS), max(2 * self._block.shape[1], m, 256)))
             grown[:, :k] = self._block[:, :k]
             self._block = grown
-        self._block[:, k:m] = columns
+        self._block[:, k:m] = block
         self._n = m
 
     def select(self, mask) -> "SessionLog":

@@ -8,7 +8,9 @@ bitrate and serves the rest best-effort (falling back to plain BE when the
 reservation would starve the viewing users).
 
 Every *_rates allocator is a pure function of a `PoolState` (one array per
-session field) and returns one rate per session, in pool order.
+session field) and returns one rate per session, in pool order, as a fresh
+array that shares no memory with any of the pool's arrays.  No allocator
+keeps a pool array after it returns: the engine reuses them as scratch.
 `make_allocator` binds a strategy's parameters for the simulation engine;
 the tests call the same *_rates functions.  ew's engine allocator alone
 carries one float from slot to slot, its last finite water level, which

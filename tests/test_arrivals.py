@@ -67,6 +67,19 @@ class TestArrivalProcess:
         with pytest.raises(ValueError):
             ArrivalProcess.trace([1, -2, 3])
 
+    @pytest.mark.parametrize("counts, bad", [
+        ([1.5, 2.7], "1.5"), ([2.0, math.nan], "nan"), ([3, math.inf, 0.5], "inf"),
+        (np.array([4.0, 1.0, -0.25]), "-0.25"),
+    ])
+    def test_rejects_nonintegral_counts(self, counts, bad):
+        with pytest.raises(ValueError, match=f"^trace counts must be whole numbers, got {bad}$"):
+            ArrivalProcess.trace(counts)
+
+    def test_whole_valued_float_counts_accepted(self):
+        counts = ArrivalProcess.trace([1.0, 0.0, 7.0]).counts
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [1, 0, 7])
+
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             ArrivalProcess.trace([1, 2], scale=0.0)

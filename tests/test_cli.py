@@ -152,6 +152,40 @@ class TestInputErrors:
         assert "error: bitrate must be positive, got nan" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_rejects_infinite_bitrate(self, tmp_path, capsys):
+        trace = tmp_path / "day.trace"
+        trace.write_text("1\n2\n0\n3\n" * 100)
+        code = _exit_code(["run", "--strategy", "be,eb", "--trace", str(trace),
+                           "--capacity", "100", "--bitrate", "inf", "--warmup", "100",
+                           "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: bitrate must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("startup_threshold = inf", "startup_threshold must be finite, got inf"),
+        ("seed = -1", "seed must be nonnegative, got -1"),
+    ])
+    def test_rejects_bad_config_file_value(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(line + "\n")
+        code = _exit_code(["run", "--strategy", "be", "--config", str(cfg), *SMALL,
+                           "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--strategy", "be"], ["sweep", "--strategy", "be", "--rho", "0.9"],
+        ["gen", "trace", "--out", "x.trace"], ["verify"],
+    ], ids=["run", "sweep", "gen", "verify"])
+    def test_rejects_negative_seed(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert _exit_code([*command, "--seed", "-1"]) == 2
+        assert ("argument --seed: must be a nonnegative integer, got -1"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
     def test_rejects_bad_target_fraction_before_any_run(self, tmp_path, monkeypatch, capsys,
                                                         value):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vodsim import arrivals, behavior, engine, strategy
+from vodsim import arrivals, behavior, engine, metrics, strategy
 from vodsim.engine import SimConfig, World, load_to_arrival_rate, planning_viewing_ratio
 from vodsim.strategy import STRATEGY_NAMES
 
@@ -266,6 +266,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be positive, got nan"):
             replace(SimConfig(), **{field: math.nan}).validate()
 
+    @pytest.mark.parametrize("field", ["bitrate", "startup_threshold", "rebuffer_threshold",
+                                       "freeze_trigger"])
+    def test_rejects_infinite(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+            replace(SimConfig(), **{field: math.inf}).validate()
+
+    def test_capacities_may_be_unlimited(self):
+        SimConfig(access_cap=math.inf, server_capacity=math.inf).validate()
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            SimConfig(seed=-1).validate()
+
     def test_default_warmup_is_twice_video_length(self):
         assert SimConfig(duration=5000).warmup_slots == 600
 
@@ -372,9 +385,9 @@ class TestSlotInvariants:
         _check_every_slot(cfg, strategy, model, counts)
 
 
-def _filled_world(n, seed=0):
+def _filled_world(n, seed=0, **config):
     """A World holding n sessions with distinct values in every slab row."""
-    world = World(SimConfig(video_length=20), "be", _no_departure_model())
+    world = World(SimConfig(video_length=20, **config), "be", _no_departure_model())
     world.step(n)
     values = np.random.default_rng(seed).random((len(engine.SLAB_ROWS), n))
     for column, v in zip(_columns(world).values(), values):
@@ -416,6 +429,31 @@ class TestCompaction:
         assert np.array_equal(logged[3], ref["playback"])
         viewed = np.maximum(ref["playback"], ref["target"])
         assert np.array_equal(logged[4], np.maximum(ref["downloaded"] - viewed, 0.0))
+
+    @pytest.mark.parametrize("mode", ["freeze", "skip"])
+    def test_logged_fields_are_the_named_rows(self, mode):
+        # `_depart` logs a slice of the slab's rows; each logged field must
+        # come from the row of its name, whatever the row order.
+        bitrate = 0.25
+        world = _filled_world(40, seed=3, playback_model=mode, bitrate=bitrate)
+        rows = _columns(world, copy=True)
+        gone = np.array([0, 6, 7, 21, 39])
+        ledger = engine.SlotLedger(slot=0)
+        world._depart(gone, ledger)
+        logged = dict(zip(metrics.SessionLog.FIELDS, world.sessions.columns))
+        assert np.array_equal(logged["arrival_slot"], rows["arrival"][gone])
+        assert np.array_equal(logged["freeze_count"], rows["freeze_count"][gone])
+        assert np.array_equal(logged["freeze_time"], rows["freeze_time"][gone])
+        assert np.array_equal(logged["play_time"], rows["playback"][gone])
+        if mode == "skip":
+            viewed = rows["playback"] - rows["skipped"]
+        else:
+            viewed = np.maximum(rows["playback"], rows["target"])
+        waste = np.maximum(rows["downloaded"] - viewed * bitrate, 0.0)[gone]
+        assert np.count_nonzero(waste) >= 3
+        assert np.array_equal(logged["waste"], waste)
+        assert ledger.bw_wasted == float(waste.sum())
+        assert ledger.departures == gone.size
 
     def test_grow_right_after_a_swap(self):
         # A departure swaps the slab with its spare; growing the slab next

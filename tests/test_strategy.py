@@ -561,3 +561,26 @@ class TestFactory:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_allocator("zz", bitrate=1.0, model=DepartureModel.synthetic(L=L))
+
+    # The engine reuses the pool's arrays as scratch once the rates are back,
+    # so no allocator may return a view of them.
+    @pytest.mark.parametrize("C, case", [
+        (100.0, "fitting"), (3.0, "binding"), (2.2, "bb fallback"),
+    ])
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_rates_never_alias_the_pool(self, name, C, case):
+        # Caps 2, 0.5 and 2; the first session browses, the last starts up.
+        pool = _pool(buffers=[0.0, 3.0, 1.5], viewed=[5, 50, 80], remaining=[2.0, 0.5, BIG],
+                     in_startup=[False, False, True])
+        model = DepartureModel.synthetic(L=L)
+        assert model.browse_slots == BROWSE_SLOTS
+        rates = make_allocator(name, bitrate=1.0, model=model)(pool, C)
+        if case == "fitting":
+            assert rates.sum() < C
+        else:
+            assert rates.sum() == pytest.approx(C)
+        if name == "bb":
+            fallback = np.array_equal(rates, be_rates(pool, C))
+            assert fallback == (case == "bb fallback")
+        for array in pool:
+            assert not np.shares_memory(rates, array)

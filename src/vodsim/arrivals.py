@@ -44,7 +44,7 @@ class ArrivalProcess:
         if self.kind == "poisson" and not 0 <= self.lam < np.inf:  # NaN, inf fail
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.kind == "trace":
-            c = np.asarray(self.counts)
+            given = c = np.asarray(self.counts)
             if c.ndim != 1 or c.size == 0:
                 raise ValueError("trace must be a nonempty 1-d count sequence")
             if c.dtype.kind not in "biu":
@@ -54,10 +54,15 @@ class ArrivalProcess:
                 if not whole.all():
                     bad = c[np.argmin(whole)]
                     raise ValueError(f"trace counts must be whole numbers, got {bad}")
-            c = c.astype(np.int64, copy=False)
+            # Checked before the cast to int64, which would wrap what it
+            # cannot hold.
             negative = c < 0
             if negative.any():
-                raise ValueError(f"trace counts must be nonnegative, got {c[negative.argmax()]}")
+                raise ValueError(f"trace counts must be nonnegative, got {given[negative.argmax()]}")
+            beyond = c >= 2.0**63 if c.dtype.kind == "f" else c > np.iinfo(np.int64).max
+            if beyond.any():
+                raise ValueError(f"trace counts must be below 2**63, got {given[beyond.argmax()]}")
+            c = c.astype(np.int64, copy=False)
             if not 0 < self.scale < np.inf:
                 raise ValueError(f"trace scale must be positive and finite, got {self.scale}")
             self.counts = c

@@ -1,6 +1,7 @@
 """Arrival-process generation, trace parsing, and scaling tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,27 @@ class TestArrivalProcess:
     def test_rejects_nonintegral_counts(self, counts, bad):
         with pytest.raises(ValueError, match=f"^trace counts must be whole numbers, got {bad}$"):
             ArrivalProcess.trace(counts)
+
+    @pytest.mark.parametrize("counts, bad", [
+        ([2**63], "9223372036854775808"), ([1e20, 2.0], "1e\\+20"),
+        ([3, 2**64], "18446744073709551616"), ([2.0**63], "9.223372036854776e\\+18"),
+    ])
+    def test_rejects_counts_beyond_int64(self, counts, bad):
+        # Rejected before the cast to int64, which would wrap them (and warn
+        # for floats); the message names the value as given.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^trace counts must be below 2\\*\\*63, got {bad}$"):
+                ArrivalProcess.trace(counts)
+
+    def test_largest_count_accepted(self):
+        assert ArrivalProcess.trace([2**63 - 1]).counts[0] == 2**63 - 1
+
+    def test_rejects_large_negative_float_counts(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^trace counts must be nonnegative, got -1e\\+20$"):
+                ArrivalProcess.trace([-1e20])
 
     def test_whole_valued_float_counts_accepted(self):
         counts = ArrivalProcess.trace([1.0, 0.0, 7.0]).counts

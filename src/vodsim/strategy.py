@@ -1,21 +1,22 @@
 """Per-slot bandwidth allocation strategies.
 
-Six strategies share one primitive: max-min fair water-filling subject to
+Six strategies share one idea: max-min fair water-filling subject to
 per-user demand caps.  SC/SC+ cap each user at (1 + delta) times the bitrate,
 BE at the access link, EB water-fills projected next-slot buffers, EW
 water-fills hazard-weighted buffers, and BB pins browsing-phase users to the
 bitrate and serves the rest best-effort (falling back to plain BE when the
-reservation would starve the viewing users).
+reservation would starve the viewing users).  sc, sc+, be and bb fill by
+sorting the caps (`_fair_fill`); eb and ew search for their water level
+without sorting (`_level_fill`) and spend at most C exactly.
 
 Every *_rates allocator is a pure function of a `PoolState` (one array per
 session field) and returns one rate per session, in pool order, as a fresh
 array that shares no memory with any of the pool's arrays.  No allocator
 keeps a pool array after it returns: the engine reuses them as scratch.
 `make_allocator` binds a strategy's parameters for the simulation engine;
-the tests call the same *_rates functions.  ew's engine allocator alone
-carries one float from slot to slot, its last finite water level, which
-`_level_fill` takes as a guess of how many breakpoints to sort.  It decides
-only how much is sorted, never the rates: they are `ew_rates`' bits.
+the tests call the same *_rates functions.  eb's and ew's engine allocators
+carry their last finite water level from slot to slot, where the next
+search starts; it never changes the rates.
 """
 
 from __future__ import annotations
@@ -38,115 +39,115 @@ class PoolState(NamedTuple):
     playing: np.ndarray        # bool; False for startup and frozen sessions
 
 
-def _level_fill(floors, weights, caps, budget, below=None):
+def _level_fill(floors, weights, caps, budget, bitrate=1.0, guess=None):
     """Raise weighted levels w_i*(floor_i + x_i) to a common value.
 
-    Finds x (0 <= x_i <= cap_i, sum x_i <= budget) for caps >= 0 that
-    lexicographically maximizes the level vector; users whose cap binds
-    below the common level receive their cap.  `weights=None` means unit
-    weights and gives the same bits as `np.ones(n)`, since multiplying or
-    dividing by 1.0 is exact.  Returns (x, level); level is +inf when every
-    cap binds with budget to spare.
-
-    `below`, a guess at the level, only decides how much is sorted: the
-    breakpoints at or below it are sorted first, and if the budget runs out
-    before the next breakpoint the result comes from them alone.  It is the
-    same bits as the full sort, whose first entries they are.  Otherwise, or
-    when no breakpoint (or every one) lies at or below it, all are sorted.
+    Finds x (0 <= x_i <= cap_i) for caps >= 0 that lexicographically
+    maximizes the level vector within the budget; users whose cap binds
+    below the common level receive their cap.  Weights lie in (0, 1] or are
+    infinite, which holds a user at x = -floor; None means unit weights.
+    Returns (x * bitrate, level), the budget in the units of x * bitrate;
+    level is +inf when every user ends at its cap.  Demand that fits is
+    returned as it is; otherwise `_binding_fill` starts from `guess`.
     """
-    floors = np.asarray(floors, dtype=float)
-    caps = np.asarray(caps, dtype=float)
+    demand = np.multiply(caps, bitrate)
+    if budget >= np.add.reduce(demand):
+        return demand, math.inf
+    return _binding_fill(np.asarray(floors, dtype=float), weights, demand, budget, bitrate, guess)
+
+
+def _binding_fill(floors, weights, demand, budget, bitrate, guess):
+    """`_level_fill` when the demand does not fit in the budget.
+
+    Rate i at level L is clip(L * bitrate / w_i - floor_i * bitrate, 0,
+    demand_i), so the rates' sum never falls as L rises.  L runs over the
+    multiples of h, the power of two that puts every breakpoint w*floor and
+    w*(floor + cap) within 2**52 steps of 0, and the level is the first step
+    at which the sum reaches the budget, or the step below if it overspends
+    there.  That is one number, so no bit of the result depends on `guess`.
+    Each rate is then rounded down to a multiple of q, the power of two with
+    budget/q a whole number below 2**53: every partial sum is exact, so the
+    rates sum to the same value, at most the budget, in any order and with
+    any zeros among them.  Were that value above it, the level would step
+    down 1, 2, 4, ... steps until it is not, at most 54 times.
+
+    The search keeps lo < L < hi with sum(lo) < budget <= sum(hi).  It takes
+    Newton steps from the guess until both ends are known, then secant steps
+    between them, halving the excess of an end kept twice in a row; a step
+    that would leave the interval halves it instead.  After 16 steps only
+    halving is left, which ends within 54 more: at most 71 sums per fill.
+    """
     n = floors.size
-    if n == 0:
-        return np.zeros(0), math.inf
-    total_caps = float(caps.sum())
-    if budget >= total_caps:
-        return caps.copy(), math.inf
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-    if budget <= 0.0:
-        return np.zeros(n), float((floors if weights is None else weights * floors).min())
+    if not budget > 0.0:  # also NaN
+        levels = floors if weights is None else weights * floors
+        return np.zeros(n), float(levels.min()) if n else math.inf
+    k = bitrate if weights is None else np.divide(bitrate, weights)
+    g = floors if bitrate == 1.0 else floors * bitrate
 
-    # Breakpoints: each user starts rising at w*floor and stops at
-    # w*(floor + cap); between them it adds 1/w to the level's slope.
-    points = np.empty(2 * n)
-    slopes = np.empty(2 * n)
-    np.add(floors, caps, out=points[n:])
-    if weights is None:
-        points[:n] = floors
-        slopes[:n] = 1.0
-        slopes[n:] = -1.0
+    def rates_at(level, slope=False):
+        # The rates, their sum and, if asked, how fast the sum grows.
+        u = np.subtract(level * k, g) if weights is None else np.multiply(k, level)
+        if weights is not None:
+            u -= g
+        np.maximum(u, 0.0, out=u)
+        np.minimum(u, demand, out=u)
+        if slope:
+            rising = (u > 0.0) & (u < demand)
+            slope = np.count_nonzero(rising) * k if weights is None else float(np.dot(rising, k))
+        return u, float(np.add.reduce(u)), slope
+
+    span = float(np.maximum.reduce(np.abs(floors))) + float(np.maximum.reduce(demand)) / bitrate
+    h = math.ldexp(1.0, max(math.frexp(span)[1] - 52, -1074))
+    if guess is None or not math.isfinite(guess):
+        # Where the budget would run out if every user rose from its floor.
+        guess = (budget + float(np.add.reduce(g))) / float(np.add.reduce(np.broadcast_to(k, n)))
+    lo, hi = -2**53, 2**53  # in steps of h; nothing is spent at lo
+    j = round(min(max(guess / h, lo + 1), hi - 1))
+    u_lo = u_hi = last = slope = None
+    side, f_lo, f_hi = 0, -budget, 0.0
+    for step in range(16 + 55):
+        u, s, measured = rates_at(j * h, slope is None)
+        # Newton's slope per step: measured at the guess, then the secant
+        # through the last two points whose sums differ.
+        slope = measured * h if slope is None else (
+            (s - last[1]) / (j - last[0]) if s != last[1] else slope)
+        last = j, s
+        if s < budget:
+            lo, u_lo, f_lo, f_hi = j, u, s - budget, f_hi * (0.5 if side < 0 else 1.0)
+            side = -1
+        else:
+            hi, u_hi, f_hi, f_lo, s_hi = j, u, s - budget, f_lo * (0.5 if side > 0 else 1.0), s
+            side = 1
+        if hi - lo == 1:
+            break
+        if step >= 16:
+            nxt = math.nan
+        elif u_lo is None or u_hi is None:
+            nxt = j + (budget - s) / slope if slope > 0 else math.nan
+        else:  # halved excesses can underflow to zero
+            nxt = lo - f_lo * ((hi - lo) / (f_hi - f_lo)) if f_hi > f_lo else math.nan
+        j = min(max(round(nxt), lo + 1), hi - 1) if lo - 1 < nxt < hi + 1 else (lo + hi) // 2
+    if u_hi is None:
+        u, level = u_lo, math.inf
+    elif s_hi == budget:
+        u, level = u_hi, hi * h
     else:
-        np.multiply(weights, floors, out=points[:n])
-        points[n:] *= weights
-        np.divide(1.0, weights, out=slopes[:n])
-        np.negative(slopes[:n], out=slopes[n:])
-    if below is not None:
-        low = points <= below
-        index = low.nonzero()[0]
-        if 0 < index.size < 2 * n:
-            level = _level_from(points[index], slopes[index], budget,
-                                lambda: points[~low].min())
-            if level is not None:
-                return _level_x(level, floors, weights, caps)
-    level = _level_from(points, slopes, budget)
-    if level is None:
-        # Round-off: the budget is below the caps' sum but outlasts the top
-        # breakpoint.  A cap too small to move its user's breakpoint
-        # (w*(floor + cap) == w*floor) was never counted in `spent`, so that
-        # user gets nothing; the rest get their caps.
-        x = caps.copy()
-        x[points[n:] == points[:n]] = 0.0
-        return x, math.inf
-    return _level_x(level, floors, weights, caps)
-
-
-def _level_from(points, slopes, budget, next_point=None):
-    """The level at which the budget runs out, from these breakpoints alone,
-    or None if it outlasts them.  When some breakpoints were left out,
-    `next_point()` gives the smallest of them, and None means the budget
-    reaches it.
-    """
-    # Stable: tied breakpoints keep their order, and the float slope sums
-    # depend on it.
-    order = points.argsort(kind="stable")
-    pts = points[order]
-    slope = slopes[order].cumsum()
-    # Cumulative capacity spent to raise the level up to each breakpoint.
-    m = pts.size
-    spent = np.empty(m)
-    spent[0] = 0.0
-    gaps = np.subtract(pts[1:], pts[:-1])
-    gaps *= slope[:-1]
-    gaps.cumsum(out=spent[1:])
-    # k is the breakpoint before the first at which more than the budget is
-    # spent, or the last one.  Weighted slope sums can round below zero where
-    # no user rises, and `spent` then dips by a few ulps; the first crossing,
-    # found by a scan, is the same one in a prefix as in the full order,
-    # where a binary search could land past the dip.  Unit slopes sum
-    # exactly, so there `spent` never falls and the scan finds the binary
-    # search's k.  spent[0] = 0 < budget, so argmax gives 0 only when no
-    # entry is over.
-    k = (int((spent > budget).argmax()) or m) - 1
-    # Past the last breakpoint here, the spent at the next one is the
-    # multiply-add the full order's cumsum makes.
-    if k == m - 1 and (next_point is None
-                       or not budget < spent[-1] + (next_point() - pts[-1]) * slope[-1]):
-        return None
-    if slope[k] > 0:
-        return pts[k] + (budget - spent[k]) / slope[k]
-    return pts[k]
-
-
-def _level_x(level, floors, weights, caps):
-    """Each user's share at the common level, within [0, cap], and the level."""
-    x = np.subtract(level if weights is None else level / weights, floors)
-    x.clip(0.0, caps, out=x)
-    return x, float(level)
+        u, level = (np.zeros(n) if u_lo is None else u_lo), lo * h
+    q = math.ldexp(1.0, max(math.frexp(budget)[1] - 53, -1074))
+    u /= q
+    np.floor(u, out=u)
+    back = 1
+    while np.add.reduce(u) > budget / q:
+        lo, back = lo - back, 2 * back
+        level = lo * h
+        u = np.floor(rates_at(level)[0] / q)
+    u *= q
+    return u, level
 
 
 def _fair_fill(caps, budget):
-    """`_level_fill` with zero floors and unit weights, bit for bit.
+    """The level fill with zero floors and unit weights, as a sorted sweep
+    of the breakpoints gives it, bit for bit.
 
     Its breakpoints are n zeros followed by the caps, so only the n caps are
     sorted: below the smallest cap all n users rise together, and each cap
@@ -192,44 +193,40 @@ def be_rates(pool: PoolState, C: float) -> np.ndarray:
 
 
 def _buffer_fill(
-    pool: PoolState, C: float, bitrate: float, weights: np.ndarray | None, below=None
+    pool: PoolState, C: float, bitrate: float, weights: np.ndarray | None, guess=None
 ) -> tuple[np.ndarray, float]:
     """Weighted water-fill of projected next-slot buffers; `weights=None`
     means unit weights.  Returns (rates, level), the positive-weight users'
-    common level as `_level_fill` gives it for weights scaled to a maximum
-    of 1; `below` is passed to their fill.
-
-    With no zero weight, every session gets its cap when all caps fit in C.
-    Zero-weight users cannot raise the waste level, so they are served after
-    all positive-weight users reach the common level.
+    common level for weights scaled to a maximum of 1; `guess` starts their
+    fill.  Zero-weight users cannot raise the waste level, so they share
+    what is left at unit weight once every other user has its cap.
     """
-    caps_sec = pool.cap / bitrate
-    budget_sec = C / bitrate
+    caps = pool.cap / bitrate
     pos = None if weights is None else weights > 0
     if pos is None or pos.all():
         # `_level_fill`'s own fit test, made before the floors and weights.
-        if budget_sec >= caps_sec.sum():
-            return caps_sec * bitrate, math.inf
+        demand = caps if bitrate == 1.0 else caps * bitrate
+        if C >= np.add.reduce(demand):
+            return demand, math.inf
         if weights is not None and weights.size:
             weights = weights / weights.max()  # scale-invariant; constant weights become 1.0
-        x, level = _level_fill(pool.buffer - pool.playing, weights, caps_sec, budget_sec, below)
-        return x * bitrate, level
+        return _binding_fill(pool.buffer - pool.playing, weights, demand, C, bitrate, guess)
     floors = pool.buffer - pool.playing
-    x = np.zeros(floors.size)
-    spent = 0.0
-    level = math.inf
     if pos.any():
         w = weights[pos]
-        w = w / w.max()
-        x_pos, level = _level_fill(floors[pos], w, caps_sec[pos], budget_sec, below)
-        x[pos] = x_pos
-        spent = float(x_pos.sum())
-    rest = ~pos
-    leftover = budget_sec - spent
-    if leftover > 0:
-        x_rest, _ = _level_fill(floors[rest], None, caps_sec[rest], leftover)
-        x[rest] = x_rest
-    return x * bitrate, level
+        rates, level = _level_fill(floors[pos], w / w.max(), caps[pos], C, bitrate, guess)
+        if math.isfinite(level):
+            out = np.zeros(floors.size)
+            out[pos] = rates
+            return out, level
+    if not C > 0.0:
+        return np.zeros(floors.size), math.inf
+    # An infinite weight and floor -cap hold a positive-weight user at its
+    # cap, so one fill over all users serves the rest, and its fit test
+    # spans all users.
+    rates, _ = _level_fill(np.where(pos, -caps, floors), np.where(pos, math.inf, 1.0),
+                           caps, C, bitrate)
+    return rates, math.inf
 
 
 def eb_rates(pool: PoolState, C: float, bitrate: float) -> np.ndarray:
@@ -247,22 +244,15 @@ def ew_rates(pool: PoolState, C: float, bitrate: float, hazard: np.ndarray) -> n
     return _buffer_fill(pool, C, bitrate, hazard)[0]
 
 
-# ew's engine allocator sorts the breakpoints up to this share above the
-# magnitude of its last finite level first; the level moves little between
-# slots.
-EW_LEVEL_MARGIN = 0.01
-
-
-def _ew_allocator(bitrate: float, model):
-    """ew for the engine: `ew_rates`, with the last finite level carried as
-    `_level_fill`'s `below`.  That one float decides only how much is sorted,
-    never the rates."""
+def _level_allocator(bitrate: float, hazard_at=None):
+    """eb (no `hazard_at`) or ew for the engine: `_buffer_fill`, started
+    from the last finite level it returned."""
     last = None
 
     def alloc(pool: PoolState, C: float) -> np.ndarray:
         nonlocal last
-        below = None if last is None else last + EW_LEVEL_MARGIN * abs(last)
-        rates, level = _buffer_fill(pool, C, bitrate, model.hazard_at(pool.viewed), below)
+        weights = None if hazard_at is None else hazard_at(pool.viewed)
+        rates, level = _buffer_fill(pool, C, bitrate, weights, last)
         if math.isfinite(level):
             last = level
         return rates
@@ -312,9 +302,9 @@ def make_allocator(name: str, bitrate: float, model):
     if name == "be":
         return lambda pool, C: be_rates(pool, C)
     if name == "eb":
-        return lambda pool, C: eb_rates(pool, C, bitrate)
+        return _level_allocator(bitrate)
     if name == "ew":
-        return _ew_allocator(bitrate, model)
+        return _level_allocator(bitrate, model.hazard_at)
     if name == "bb":
         return lambda pool, C: bb_rates(pool, C, bitrate, model.browse_slots)
     raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")

@@ -204,37 +204,39 @@ class TestDeterminism:
         assert a.report == b.report
         assert [l.row() for l in a.ledgers] == [l.row() for l in b.ledgers]
 
-    def test_ew_worlds_stepped_in_turn(self):
-        # ew's allocator carries its last water level from slot to slot.  Two
-        # worlds stepped in turn give the ledgers and session logs of two runs
-        # made one after the other, and each passes `_level_fill` the bounds
-        # its own run passes, so the carried level belongs to its world.
+    @pytest.mark.parametrize("name", ["eb", "ew"])
+    def test_worlds_stepped_in_turn(self, name):
+        # eb's and ew's allocators carry their last water level from slot to
+        # slot as the next fill's guess.  Two worlds stepped in turn give
+        # the ledgers and session logs of two runs made one after the other,
+        # and each world's fills get the guesses its own run gives them, so
+        # the carried level belongs to its world.
         model = behavior.DepartureModel.synthetic(L=60)
         worlds = [(SimConfig(server_capacity=40.0, video_length=60, duration=600, seed=seed),
                    arrivals.ArrivalProcess.poisson(lam).generate(600, np.random.default_rng(seed)))
                   for seed, lam in ((3, 1.1), (4, 0.9))]
-        bounds = []
-        real = strategy._level_fill
+        guesses = []
+        real = strategy._buffer_fill
 
-        def spy(floors, weights, caps, budget, below=None):
-            if weights is not None:
-                bounds.append(below)
-            return real(floors, weights, caps, budget, below)
+        def spy(pool, C, bitrate, weights, guess=None):
+            rates, level = real(pool, C, bitrate, weights, guess)
+            guesses.append((guess, level))
+            return rates, level
 
         def record(world, count, trail):
-            del bounds[:]
+            del guesses[:]
             world.step(int(count))
-            trail.append(list(bounds))
+            trail.append(list(guesses))
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(strategy, "_level_fill", spy)
+            mp.setattr(strategy, "_buffer_fill", spy)
             alone = []
             for cfg, counts in worlds:
-                world, trail = World(cfg, "ew", model), []
+                world, trail = World(cfg, name, model), []
                 for c in counts:
                     record(world, c, trail)
                 alone.append((world, trail))
-            turns = [(World(cfg, "ew", model), []) for cfg, _ in worlds]
+            turns = [(World(cfg, name, model), []) for cfg, _ in worlds]
             for slot_counts in zip(*(counts for _, counts in worlds)):
                 for (world, trail), c in zip(turns, slot_counts):
                     record(world, c, trail)
@@ -242,8 +244,14 @@ class TestDeterminism:
             assert [l.row() for l in a.ledgers] == [l.row() for l in b.ledgers]
             assert a.sessions.columns.tobytes() == b.sessions.columns.tobytes()
             assert a_trail == b_trail
-        # Capacity binds, so the fills took the bound; the two worlds' bounds differ.
-        assert sum(b is not None for t in alone[0][1] for b in t) > 100
+            # Each guess is the last finite level its own world's fills gave.
+            last = None
+            for guess, level in (g for slot in a_trail for g in slot):
+                assert guess == last
+                if math.isfinite(level):
+                    last = level
+        # Capacity binds, so the fills took the guess; the two worlds' guesses differ.
+        assert sum(g is not None for t in alone[0][1] for g, _ in t) > 100
         assert alone[0][1] != alone[1][1]
 
     def test_seed_changes_results(self):
@@ -296,7 +304,9 @@ class TestConfigValidation:
 def _check_every_slot(cfg, strategy, model, counts):
     """Run a World over `counts` arrivals and check every slot's invariants,
     read through a wrapped `engine.make_allocator` and `engine._compact` (no
-    `World` option).  Returns the number of slots where capacity binds."""
+    `World` option).  eb and ew spend at most C exactly, the others to
+    1e-9.  Returns the number of slots where capacity binds."""
+    exact = strategy in ("eb", "ew")
     slot = {}
     real_make_allocator, real_compact = engine.make_allocator, engine._compact
 
@@ -314,7 +324,10 @@ def _check_every_slot(cfg, strategy, model, counts):
             cap = np.minimum(cfg.access_cap, cfg.file_size - before["downloaded"])
             assert np.all(rates >= 0.0)
             assert np.all(rates <= cap * (1 + 1e-12))
-            assert rates.sum() <= C * (1 + 1e-9)
+            if exact:
+                assert np.add.reduce(rates) <= C
+            else:
+                assert rates.sum() <= C * (1 + 1e-9)
             return rates
         return checked
 

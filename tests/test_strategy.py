@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vodsim.behavior import DepartureModel
@@ -53,8 +53,48 @@ class TestWaterfill:
         np.testing.assert_allclose(_fair_fill(np.array([0.5, 2.0, 2.0]), 3.0)[0], [0.5, 1.25, 1.25])
 
 
+def _sorted_level_fill(floors, weights, caps, budget):
+    """The level fill as a sorted sweep: the oracle for `_level_fill`.
+
+    Each user starts rising at w*floor and stops at w*(floor + cap); between
+    the two it adds 1/w to the level's slope.  The 2n breakpoints are sorted
+    (stably: the float slope sums depend on the order of ties), the budget
+    spent up to each is summed, and the level is interpolated after the last
+    breakpoint at which no more than the budget is spent.  Weighted slope
+    sums can round below zero where no user rises, so `spent` can dip; the
+    scan takes the first crossing, before any dip.  Returns (x, level).
+    """
+    floors = np.asarray(floors, dtype=float)
+    caps = np.asarray(caps, dtype=float)
+    n = floors.size
+    if n == 0:
+        return np.zeros(0), math.inf
+    if budget >= float(caps.sum()):
+        return caps.copy(), math.inf
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if budget <= 0.0:
+        return np.zeros(n), float((w * floors).min())
+    points = np.concatenate((w * floors, w * (floors + caps)))
+    slopes = np.concatenate((1.0 / w, -1.0 / w))
+    order = points.argsort(kind="stable")
+    pts = points[order]
+    slope = slopes[order].cumsum()
+    spent = np.concatenate(([0.0], (np.diff(pts) * slope[:-1]).cumsum()))
+    k = (int((spent > budget).argmax()) or pts.size) - 1
+    if k == pts.size - 1:
+        # The budget outlasts the top breakpoint by round-off.  A cap too
+        # small to move its user's breakpoint was never counted, so that
+        # user gets nothing and the rest get their caps.
+        x = caps.copy()
+        x[points[n:] == points[:n]] = 0.0
+        return x, math.inf
+    level = pts[k] + (budget - spent[k]) / slope[k] if slope[k] > 0 else pts[k]
+    return np.clip(level / w - floors, 0.0, caps), float(level)
+
+
 class TestFairFill:
-    """`_fair_fill` is `_level_fill` with zero floors and unit weights, bit for bit."""
+    """`_fair_fill` is the sorted level fill with zero floors and unit
+    weights, bit for bit."""
 
     @given(
         st.lists(
@@ -70,7 +110,7 @@ class TestFairFill:
         caps = np.array(caps, dtype=float)
         budget = math.inf if share == math.inf else share * float(caps.sum())
         n = caps.size
-        x_ref, level_ref = _level_fill(np.zeros(n), np.ones(n), caps, budget)
+        x_ref, level_ref = _sorted_level_fill(np.zeros(n), None, caps, budget)
         x, level = _fair_fill(caps, budget)
         assert np.array_equal(x, x_ref)
         assert level == level_ref
@@ -135,45 +175,51 @@ def _bits(x, level):
     return x.tobytes(), np.float64(level).tobytes()
 
 
-class TestLevelBound:
-    """`below` decides only how many breakpoints `_level_fill` sorts first:
-    any bound gives the unbounded call's bits."""
+class TestLevelFill:
+    """`_level_fill` against the sorted sweep, from any guess."""
 
     @given(st.lists(st.tuples(_buffers, st.booleans(), _caps, _level_weights),
                     min_size=1, max_size=30),
            st.booleans(), _shares, st.sampled_from([None, 0.5, 1.0, 2.0, 3.0]),
-           st.floats(min_value=-0.5, max_value=0.5))
+           st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=400, deadline=None)
-    def test_any_bound_gives_the_unbounded_bits(self, users, unit, share, budget, offset):
+    def test_matches_the_sorted_sweep(self, users, unit, share, budget, drawn):
         # A budget of a few whole units often equals what is spent at a
-        # breakpoint, the edge of the bounded path's test.
+        # breakpoint.
         buffer, playing, caps, weights = (np.array(c, dtype=float) for c in zip(*users))
         floors = buffer - playing
         weights = None if unit else weights
         if budget is None:
             budget = _budget(share, caps)
         x, level = _level_fill(floors, weights, caps, budget)
-        expected = _bits(x, level)
-        w = 1.0 if weights is None else weights
-        # Every breakpoint, the level and their neighbours, a drawn point
-        # near the level, and the bounds that select nothing or everything.
-        anchors = [*(w * floors), *(w * (floors + caps))]
+        x_ref, level_ref = _sorted_level_fill(floors, weights, caps, budget)
+        # The level to 1e-12 of the breakpoints' scale, and each share to
+        # what that allows it: x_i moves by 1/w_i per unit of level.  Where
+        # no user rises the shares stay put over a range of levels; the
+        # sweep takes its last point and `_level_fill` its first.
+        span = float(np.abs(floors).max() + caps.max())
+        w = np.ones(floors.size) if weights is None else weights
+        if np.any((x_ref > 0.0) & (x_ref < caps)):
+            assert abs(level - level_ref) <= 1e-12 * span
+        else:
+            assert level <= level_ref + 1e-12 * span
+        assert np.all(np.abs(x - x_ref) <= 1e-12 * span / w)
+        assert np.add.reduce(x) <= budget
+        # Every guess gives the same bits: none, the level, its neighbours,
+        # the infinities, NaN and a drawn value.
+        guesses = [math.inf, -math.inf, math.nan, drawn]
         if math.isfinite(level):
-            anchors += [level, level + offset * abs(level), level + 0.01 * abs(level)]
-        bounds = [math.inf, -math.inf, math.nan]
-        for a in anchors:
-            bounds += [np.nextafter(a, -math.inf), a, np.nextafter(a, math.inf)]
-        for below in bounds:
-            got = _bits(*_level_fill(floors, weights, caps, budget, below=float(below)))
-            assert got == expected, below
+            guesses += [level, np.nextafter(level, -math.inf), np.nextafter(level, math.inf)]
+        for guess in guesses:
+            got = _level_fill(floors, weights, caps, budget, guess=float(guess))
+            assert _bits(*got) == _bits(x, level), guess
 
     def test_dip_takes_the_first_crossing(self):
         # Users 3 and 0 rise up to 1/3 and spend the whole budget; no user
-        # rises between 1/3 and 1, and the slope sums round below zero there,
-        # so `spent` dips back under the budget.  A binary search over that
-        # dip could return a level past it, which gives user 2 a few ulps
-        # and spends more than the budget.  The level is taken where the
-        # budget first runs out, whatever the bound.
+        # rises between 1/3 and 1, where the sorted sweep's slope sums round
+        # below zero and its `spent` dips back under the budget.  The level
+        # is taken where the budget first runs out, whatever the guess, and
+        # user 2 gets nothing.
         floors = np.array([2.0, 1.0, 3.0, -1.0])
         weights = np.array([0.1, 0.3, 1 / 3, 1 / 3])
         caps = np.array([1.0, 0.0, 2.0, 2.0])
@@ -181,8 +227,8 @@ class TestLevelBound:
         assert level < 1.0
         assert x[2] == 0.0
         assert x.sum() <= 3.0
-        for below in (0.2, 1 / 3, 0.5, 1.0, 1.5, math.inf):
-            assert _bits(*_level_fill(floors, weights, caps, 3.0, below)) == _bits(x, level)
+        for guess in (0.2, 1 / 3, 0.5, 1.0, 1.5, math.inf):
+            assert _bits(*_level_fill(floors, weights, caps, 3.0, guess=guess)) == _bits(x, level)
 
 
 class TestSC:
@@ -393,23 +439,45 @@ class TestFitContract:
     @settings(max_examples=300, deadline=None)
     def test_capacity_at_total_demand(self, name, case):
         # One ulp below C = sum(demand), at it and one ulp above, the rates
-        # stay within the caps and C.  From C = sum(demand) up every demand
-        # fits and is returned exactly, except by ew with zero hazards: it
-        # fills those sessions from what the others leave, and that
-        # remainder can round an ulp short of their caps.
+        # stay within the caps and C, exactly for eb and ew.  From
+        # C = sum(demand) up every demand fits and is returned exactly.  ew
+        # with zero hazards first fills the positive-hazard sessions, so it
+        # returns every demand once their own sum, in their own order, fits.
         pool, hazard = _contract_case(case)
         demand = _demand(name, pool, 1.0)
         total = float(demand.sum())
-        exact = name != "ew" or bool(np.all(hazard > 0))
+        exact = name != "ew" or np.add.reduce(demand[hazard > 0]) <= total
         for C in (np.nextafter(total, -math.inf), total, np.nextafter(total, math.inf)):
             if C < 0.0:
                 continue
             rates = _rates(name, pool, float(C), 1.0, hazard)
             assert np.all(rates >= 0.0)
             assert np.all(rates <= pool.cap)
-            assert rates.sum() <= C * (1 + 1e-12)
+            if name == "bb":
+                assert rates.sum() <= C * (1 + 1e-12)
+            else:
+                assert np.add.reduce(rates) <= C
             if C >= total and exact:
                 assert rates.tobytes() == demand.tobytes()
+
+    @pytest.mark.parametrize("name", ["eb", "ew"])
+    @given(_contract_pools, st.one_of(st.sampled_from([1.0, 2.5]),
+                                      st.floats(min_value=0.1, max_value=4.0)), _shares)
+    # One session with floor 1 and cap 0.5 at C one ulp below 0.5, where a
+    # fill that rounds x = level - floor up to the cap spends 0.5.
+    @example(case=([1.0], [0.5], [50.0], [False], [False], [0.1]), bitrate=1.0,
+             share=0.49999999999999994 / 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_capacity_is_exact(self, name, case, bitrate, share):
+        # The rates sum to at most C in numpy's order, exactly, and to the
+        # same value in any order once capacity binds.
+        pool, hazard = _contract_case(case)
+        C = _budget(share, pool.cap)
+        rates = _rates(name, pool, C, bitrate, hazard)
+        assert np.add.reduce(rates) <= C
+        assert np.all(rates <= pool.cap / bitrate * bitrate)
+        if C < np.add.reduce(pool.cap / bitrate * bitrate):
+            assert np.add.reduce(rates) == math.fsum(rates) == np.add.reduce(rates[::-1])
 
     @given(_contract_pools, _bitrates, st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=400, deadline=None)

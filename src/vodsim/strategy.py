@@ -98,9 +98,12 @@ def _binding_fill(floors, weights, demand, budget, bitrate, guess):
 
     span = float(np.maximum.reduce(np.abs(floors))) + float(np.maximum.reduce(demand)) / bitrate
     h = math.ldexp(1.0, max(math.frexp(span)[1] - 52, -1074))
-    if guess is None or not math.isfinite(guess):
+    def everyone_rising():
         # Where the budget would run out if every user rose from its floor.
-        guess = (budget + float(np.add.reduce(g))) / float(np.add.reduce(np.broadcast_to(k, n)))
+        return (budget + float(np.add.reduce(g))) / float(np.add.reduce(np.broadcast_to(k, n)))
+
+    if guess is None or not math.isfinite(guess):
+        guess = everyone_rising()
     lo, hi = -2**53, 2**53  # in steps of h; nothing is spent at lo
     j = round(min(max(guess / h, lo + 1), hi - 1))
     u_lo = u_hi = last = slope = None
@@ -124,6 +127,9 @@ def _binding_fill(floors, weights, demand, budget, bitrate, guess):
             nxt = math.nan
         elif u_lo is None or u_hi is None:
             nxt = j + (budget - s) / slope if slope > 0 else math.nan
+            if not lo - 1 < nxt < hi + 1:  # Newton overshoots: try everyone rising
+                nxt = everyone_rising() / h
+                nxt = nxt if lo < round(nxt) < hi else math.nan
         else:  # halved excesses can underflow to zero
             nxt = lo - f_lo * ((hi - lo) / (f_hi - f_lo)) if f_hi > f_lo else math.nan
         j = min(max(round(nxt), lo + 1), hi - 1) if lo - 1 < nxt < hi + 1 else (lo + hi) // 2

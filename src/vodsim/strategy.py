@@ -5,9 +5,8 @@ per-user demand caps.  SC/SC+ cap each user at (1 + delta) times the bitrate,
 BE at the access link, EB water-fills projected next-slot buffers, EW
 water-fills hazard-weighted buffers, and BB pins browsing-phase users to the
 bitrate and serves the rest best-effort (falling back to plain BE when the
-reservation would starve the viewing users).  sc, sc+, be and bb fill by
-sorting the caps (`_fair_fill`); eb and ew search for their water level
-without sorting (`_level_fill`) and spend at most C exactly.
+reservation would starve the viewing users).  sc, sc+, be and bb sort
+their caps (`_fair_fill`); eb and ew search for their level (`_level_fill`).
 
 Every *_rates allocator is a pure function of a `PoolState` (one array per
 session field) and returns one rate per session, in pool order, as a fresh
@@ -62,20 +61,20 @@ def _binding_fill(floors, weights, demand, budget, bitrate, guess):
     Rate i at level L is clip(L * bitrate / w_i - floor_i * bitrate, 0,
     demand_i), so the rates' sum never falls as L rises.  L runs over the
     multiples of h, the power of two that puts every breakpoint w*floor and
-    w*(floor + cap) within 2**52 steps of 0, and the level is the first step
-    at which the sum reaches the budget, or the step below if it overspends
-    there.  That is one number, so no bit of the result depends on `guess`.
-    Each rate is then rounded down to a multiple of q, the power of two with
-    budget/q a whole number below 2**53: every partial sum is exact, so the
-    rates sum to the same value, at most the budget, in any order and with
-    any zeros among them.  Were that value above it, the level would step
-    down 1, 2, 4, ... steps until it is not, at most 54 times.
+    w*(floor + cap) within 2**52 steps of 0.  The level is the first step at
+    which the sum reaches the budget, or the step below if it overspends
+    there: one number, so no bit of the result depends on `guess`.  The
+    rates are then rounded down to multiples of q, the power of two with
+    budget/q a whole number below 2**53, so every partial sum is exact and
+    they sum to at most the budget in any order, with any zeros among them.
+    (Were the rounded sum above it, the level would step down 1, 2, 4, ...
+    steps until it is not, at most 54 times.)
 
-    The search keeps lo < L < hi with sum(lo) < budget <= sum(hi).  It takes
-    Newton steps from the guess until both ends are known, then secant steps
-    between them, halving the excess of an end kept twice in a row; a step
-    that would leave the interval halves it instead.  After 16 steps only
-    halving is left, which ends within 54 more: at most 71 sums per fill.
+    The search keeps lo < L < hi with sum(lo) < budget <= sum(hi): Newton
+    steps from the guess until both ends are known, then secant steps,
+    halving the excess of an end kept twice in a row.  A step that would
+    leave the interval halves it instead, and after 16 steps only halving
+    is left, which ends within 54 more: at most 71 sums per fill.
     """
     n = floors.size
     if not budget > 0.0:  # also NaN
@@ -98,6 +97,7 @@ def _binding_fill(floors, weights, demand, budget, bitrate, guess):
 
     span = float(np.maximum.reduce(np.abs(floors))) + float(np.maximum.reduce(demand)) / bitrate
     h = math.ldexp(1.0, max(math.frexp(span)[1] - 52, -1074))
+
     def everyone_rising():
         # Where the budget would run out if every user rose from its floor.
         return (budget + float(np.add.reduce(g))) / float(np.add.reduce(np.broadcast_to(k, n)))
@@ -112,14 +112,18 @@ def _binding_fill(floors, weights, demand, budget, bitrate, guess):
         u, s, measured = rates_at(j * h, slope is None)
         # Newton's slope per step: measured at the guess, then the secant
         # through the last two points whose sums differ.
-        slope = measured * h if slope is None else (
-            (s - last[1]) / (j - last[0]) if s != last[1] else slope)
+        if slope is None:
+            slope = measured * h
+        elif s != last[1]:
+            slope = (s - last[1]) / (j - last[0])
         last = j, s
         if s < budget:
-            lo, u_lo, f_lo, f_hi = j, u, s - budget, f_hi * (0.5 if side < 0 else 1.0)
+            lo, u_lo, f_lo = j, u, s - budget
+            f_hi *= 0.5 if side < 0 else 1.0
             side = -1
         else:
-            hi, u_hi, f_hi, f_lo, s_hi = j, u, s - budget, f_lo * (0.5 if side > 0 else 1.0), s
+            hi, u_hi, f_hi, s_hi = j, u, s - budget, s
+            f_lo *= 0.5 if side > 0 else 1.0
             side = 1
         if hi - lo == 1:
             break
@@ -138,7 +142,7 @@ def _binding_fill(floors, weights, demand, budget, bitrate, guess):
     elif s_hi == budget:
         u, level = u_hi, hi * h
     else:
-        u, level = (np.zeros(n) if u_lo is None else u_lo), lo * h
+        u, level = u_lo, lo * h
     q = math.ldexp(1.0, max(math.frexp(budget)[1] - 53, -1074))
     u /= q
     np.floor(u, out=u)
@@ -218,18 +222,19 @@ def _buffer_fill(
             weights = weights / weights.max()  # scale-invariant; constant weights become 1.0
         return _binding_fill(pool.buffer - pool.playing, weights, demand, C, bitrate, guess)
     floors = pool.buffer - pool.playing
-    if pos.any():
+    demand = caps * bitrate
+    if pos.any() and (C < np.add.reduce(demand[pos])
+                      or C < np.add.reduce(np.where(pos, demand, 0.0))):
+        # The positive-weight users do not all fit, summed in their own
+        # order or in the pool's: they share C alone.
         w = weights[pos]
-        rates, level = _level_fill(floors[pos], w / w.max(), caps[pos], C, bitrate, guess)
-        if math.isfinite(level):
-            out = np.zeros(floors.size)
-            out[pos] = rates
-            return out, level
+        out = np.zeros(floors.size)
+        out[pos], level = _binding_fill(floors[pos], w / w.max(), demand[pos], C, bitrate, guess)
+        return out, level
     if not C > 0.0:
         return np.zeros(floors.size), math.inf
-    # An infinite weight and floor -cap hold a positive-weight user at its
-    # cap, so one fill over all users serves the rest, and its fit test
-    # spans all users.
+    # Infinite weight and floor -cap hold a positive-weight user at its cap:
+    # one fill over all users, with one fit test, serves the rest.
     rates, _ = _level_fill(np.where(pos, -caps, floors), np.where(pos, math.inf, 1.0),
                            caps, C, bitrate)
     return rates, math.inf

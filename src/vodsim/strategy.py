@@ -42,12 +42,10 @@ def _level_fill(floors, weights, caps, budget, bitrate=1.0, guess=None):
     """Raise weighted levels w_i*(floor_i + x_i) to a common value.
 
     Finds x (0 <= x_i <= cap_i) for caps >= 0 that lexicographically
-    maximizes the level vector within the budget; users whose cap binds
-    below the common level receive their cap.  Weights lie in (0, 1] or are
-    infinite, which holds a user at x = -floor; None means unit weights.
-    Returns (x * bitrate, level), the budget in the units of x * bitrate;
-    level is +inf when every user ends at its cap.  Demand that fits is
-    returned as it is; otherwise `_binding_fill` starts from `guess`.
+    maximizes the level vector within the budget.  Weights lie in (0, 1] or
+    are infinite, which holds a user at x = -floor; None means unit weights.
+    Returns (x * bitrate, level) in the budget's units; level is +inf when
+    every user ends at its cap.  Demand that fits is returned as it is.
     """
     demand = np.multiply(caps, bitrate)
     if budget >= np.add.reduce(demand):
@@ -225,8 +223,7 @@ def _buffer_fill(
     demand = caps * bitrate
     if pos.any() and (C < np.add.reduce(demand[pos])
                       or C < np.add.reduce(np.where(pos, demand, 0.0))):
-        # The positive-weight users do not all fit, summed in their own
-        # order or in the pool's: they share C alone.
+        # The positive-weight users' caps overspend C in their order or the pool's.
         w = weights[pos]
         out = np.zeros(floors.size)
         out[pos], level = _binding_fill(floors[pos], w / w.max(), demand[pos], C, bitrate, guess)

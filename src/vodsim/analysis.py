@@ -163,18 +163,17 @@ def lagrange_condition_check(
 
 
 def steady_state_stats(ledgers, window_start: int):
-    """Measured (W, N, gamma, mean bw_used) over a steady window of slot ledgers.
+    """Measured (W, N, gamma, mean bw_used) over the slot table from window_start on.
 
     W is mean wasted bandwidth per slot, N the mean number of playback
     attempts, gamma the fraction of attempted slots that were skipped.
     """
-    window = [l for l in ledgers if l.slot >= window_start]
-    if not window:
+    window = ledgers[ledgers["slot"] >= window_start]
+    if not window.size:
         raise ValueError("empty measurement window")
-    W = sum(l.bw_wasted for l in window) / len(window)
-    N = sum(l.playing for l in window) / len(window)
-    attempts = sum(l.playing for l in window)
-    consumed = sum(l.consumed for l in window)
-    gamma = 1.0 - consumed / attempts if attempts > 0 else 0.0
-    used = sum(l.bw_used for l in window) / len(window)
+    W = float(window["bw_wasted"].mean())
+    N = float(window["playing"].mean())
+    attempts = window["playing"].sum()
+    gamma = 1.0 - float(window["consumed"].sum() / attempts) if attempts > 0 else 0.0
+    used = float(window["bw_used"].mean())
     return W, N, gamma, used

@@ -35,6 +35,12 @@ run, and swaps the two slabs, so no copy overlaps its source.
 The survivors keep their relative order, and that order must stay stable:
 it is the allocators' tie order and the order of the float sums, so any
 reordering changes the output bytes.
+
+Each slot's accounting is row `slot` of the slot table, a record array with
+the fields SLOT_FIELDS that grows geometrically like the session log.  Every
+field is float64, as in the slab: the counts stay exact, a row is written
+with one tuple assignment, and the counts a row hands out are floats, which
+`json.dumps` takes as they are.
 """
 
 from __future__ import annotations
@@ -61,7 +67,12 @@ SKIPPED, ARRIVAL, TARGET = (SLAB_ROWS.index(r) for r in ("skipped", "arrival", "
 # Departure targets are drawn at least this many sessions at a time.
 TARGET_CHUNK = 4096
 
-LEDGER_HEADER = "slot,arrivals,active,bw_used,bw_wasted,departures"
+# Fields of the slot table; `export_ledgers` writes the first six.  `playing`
+# counts playback attempts, `consumed` the slots played (fewer in skip mode).
+SLOT_FIELDS = ("slot", "arrivals", "active", "bw_used", "bw_wasted", "departures",
+               "playing", "consumed")
+SLOT_DTYPE = np.dtype((np.record, [(f, np.float64) for f in SLOT_FIELDS]))
+LEDGER_HEADER = ",".join(SLOT_FIELDS[:6])
 
 
 @dataclass
@@ -114,24 +125,6 @@ class SimConfig:
         return self.video_length * self.bitrate
 
 
-@dataclass
-class SlotLedger:
-    slot: int
-    arrivals: int = 0
-    active: int = 0
-    bw_used: float = 0.0
-    bw_wasted: float = 0.0
-    departures: int = 0
-    playing: int = 0       # sessions attempting playback this slot
-    consumed: float = 0.0  # slots of content actually played (skip mode < playing)
-
-    def row(self) -> str:
-        return (
-            f"{self.slot},{self.arrivals},{self.active},"
-            f"{self.bw_used:.6f},{self.bw_wasted:.6f},{self.departures}"
-        )
-
-
 class World:
     """Mutable simulation state for one run."""
 
@@ -155,7 +148,7 @@ class World:
         # from the first.
         self._dep_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
         self.slot = 0
-        self.ledgers: list[SlotLedger] = []
+        self._table = np.zeros(0, dtype=SLOT_DTYPE)  # rows [0, slot) are written
         self.sessions = SessionLog()  # departed sessions, in departure order
         self._skip_mode = config.playback_model == "skip"
         # The config's scalars, read once rather than on every slot.  A
@@ -182,6 +175,11 @@ class World:
     @property
     def active_count(self) -> int:
         return self._n
+
+    @property
+    def ledgers(self) -> np.recarray:
+        """The slot table so far, one row per slot, as a view."""
+        return self._table[: self.slot].view(np.recarray)
 
     def _admit(self, k: int) -> None:
         n, m = self._n, self._n + k
@@ -210,12 +208,13 @@ class World:
         self._slab = slab
         self._spare = np.empty_like(slab)
 
-    def step(self, n_arrivals: int = 0) -> SlotLedger:
-        """Advance one slot: arrivals, allocation, download, playback, departures."""
+    def step(self, n_arrivals: int = 0) -> np.record:
+        """Advance one slot: arrivals, allocation, download, playback,
+        departures.  Returns the slot's row of the slot table."""
         if n_arrivals:
             self._admit(n_arrivals)
         n = self._n
-        ledger = SlotLedger(slot=self.slot, arrivals=n_arrivals, active=n)
+        bw_used = bw_wasted = consumed = n_playing = departures = 0
         if n:
             (buffer, state, skipped, downloaded, _, freeze_count, freeze_time,
              playback, target) = self._slab[:, :n]
@@ -232,18 +231,18 @@ class World:
             pool = PoolState(buffer, playback, cap, in_startup, playing)
             rates = self._alloc(pool, self._capacity)
             scratch = cap  # the pool is done with (see the module docstring)
-            ledger.bw_used = float(np.add.reduce(rates))
+            bw_used = np.add.reduce(rates)
             buffer += np.divide(rates, self._bitrate, out=scratch)
             downloaded += rates
 
             state += in_startup & (buffer >= self._startup_threshold)  # STARTUP -> PLAYING
-            ledger.playing = n_playing = int(np.count_nonzero(playing))
+            n_playing = np.count_nonzero(playing)
             if self._skip_mode:
                 take = np.minimum(buffer[playing], 1.0)
                 buffer[playing] -= take
                 playback += playing
                 skipped[playing] += 1.0 - take
-                ledger.consumed = float(take.sum())
+                consumed = take.sum()
             else:
                 # In a slot where no session is frozen or freezes, the freeze
                 # updates would add or subtract all-False masks, which leaves
@@ -256,8 +255,7 @@ class World:
                 scratch[:] = consume  # the step as 0.0/1.0, cast once for both rows
                 buffer -= scratch
                 playback += scratch
-                n_consumed = int(np.count_nonzero(consume))
-                ledger.consumed = float(n_consumed)
+                consumed = n_consumed = np.count_nonzero(consume)
                 if n_consumed < n_playing:
                     to_freeze = playing ^ consume
                     state += to_freeze  # PLAYING -> FROZEN
@@ -268,15 +266,20 @@ class World:
             departing = np.greater_equal(playback, target, out=in_startup)
             departing |= np.greater_equal(downloaded, self._complete_at, out=playing)
             gone = departing.nonzero()[0]
-            if gone.size:
-                self._depart(gone, ledger)
-        self.ledgers.append(ledger)
-        self.slot += 1
-        return ledger
+            departures = gone.size
+            if departures:
+                bw_wasted = self._depart(gone)
+        slot = self.slot
+        if slot == self._table.size:
+            self._table = np.concatenate((self._table, np.zeros(max(slot, 256), SLOT_DTYPE)))
+        self._table[slot] = (slot, n_arrivals, n, bw_used, bw_wasted, departures,
+                             n_playing, consumed)
+        self.slot = slot + 1
+        return self._table[slot]
 
-    def _depart(self, gone: np.ndarray, ledger: SlotLedger) -> None:
-        """Log the sessions in columns `gone` (ascending), then compact the
-        slab stably into the spare slab and swap the two."""
+    def _depart(self, gone: np.ndarray) -> float:
+        """Log the sessions in columns `gone` (ascending), compact the slab
+        stably into the spare slab and swap the two; returns their waste."""
         # Rows skipped, downloaded, arrival, freeze_count, freeze_time,
         # playback and target; the last five are the log's fields once waste
         # replaces target.  Indexing three rows is cheaper than unpacking seven.
@@ -291,11 +294,10 @@ class World:
         waste *= self._bitrate
         np.subtract(downloaded, waste, out=waste)
         np.maximum(waste, 0.0, out=waste)
-        ledger.bw_wasted = float(np.add.reduce(waste))
-        ledger.departures = gone.size
         self.sessions.append(block[ARRIVAL - SKIPPED:])
         self._n = _compact(self._slab, self._spare, self._n, gone)
         self._slab, self._spare = self._spare, self._slab
+        return float(np.add.reduce(waste))
 
 
 def _compact(src: np.ndarray, dst: np.ndarray, n: int, gone: np.ndarray) -> int:
@@ -322,7 +324,7 @@ class RunResult:
     strategy: str
     config: SimConfig
     report: MetricsReport
-    ledgers: list[SlotLedger] = field(repr=False, default_factory=list)
+    ledgers: np.recarray = field(repr=False)
     sessions: SessionLog = field(repr=False, default_factory=SessionLog)
 
 
@@ -346,8 +348,7 @@ def run(
         world.step(int(c))
     w = config.warmup_slots
     sessions = world.sessions.select(world.sessions.columns[0] >= w)
-    measured = [l for l in world.ledgers if l.slot >= w]
-    report = aggregate(sessions, measured)
+    report = aggregate(sessions, world.ledgers.bw_used[w:])
     return RunResult(
         strategy=strategy,
         config=config,
@@ -417,8 +418,7 @@ def poisson_arrival_rate(rho: float, config: SimConfig, model: DepartureModel) -
 
 
 def export_ledgers(ledgers, path) -> None:
-    """Write the per-slot table: slot,arrivals,active,bw_used,bw_wasted,departures."""
-    with open(path, "w") as fh:
-        fh.write(LEDGER_HEADER + "\n")
-        for l in ledgers:
-            fh.write(l.row() + "\n")
+    """Write the slot table's first six fields as CSV under LEDGER_HEADER:
+    slot,arrivals,active,bw_used,bw_wasted,departures."""
+    columns = np.column_stack([ledgers[f] for f in SLOT_FIELDS[:6]])
+    np.savetxt(path, columns, fmt="%d,%d,%d,%.6f,%.6f,%d", header=LEDGER_HEADER, comments="")

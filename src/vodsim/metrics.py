@@ -1,4 +1,4 @@
-"""QoE metric aggregation over departed sessions and per-slot ledgers."""
+"""QoE metric aggregation over departed sessions and per-slot bandwidth."""
 
 from __future__ import annotations
 
@@ -75,14 +75,14 @@ class MetricsReport:
         return asdict(self)
 
 
-def aggregate(sessions: SessionLog, ledgers) -> MetricsReport:
-    """Fold departed sessions and slot ledgers into the five QoE metrics plus
-    wasted and peak bandwidth.
+def aggregate(sessions: SessionLog, bw_used) -> MetricsReport:
+    """Fold departed sessions and the measured slots' `bw_used` column into
+    the five QoE metrics, wasted bandwidth and peak bandwidth (0.0 if no slot).
 
     Session time is play plus freeze time; startup buffering is excluded.
     An empty session set yields an all-zero report flagged `empty`.
     """
-    peak = max((l.bw_used for l in ledgers), default=0.0)
+    peak = np.max(bw_used) if len(bw_used) else 0.0
     n = len(sessions)
     if n == 0:
         return MetricsReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(peak), 0, 0.0, empty=True)

@@ -141,7 +141,7 @@ class TestAccounting:
         cfg = SimConfig(server_capacity=30.0, video_length=60, duration=600, warmup=0)
         model = behavior.DepartureModel.synthetic(L=60)
         result = engine.run(cfg, "be", arrivals.ArrivalProcess.poisson(1.5), model)
-        assert all(l.bw_used <= cfg.server_capacity + 1e-9 for l in result.ledgers)
+        assert np.all(result.ledgers.bw_used <= cfg.server_capacity + 1e-9)
 
     def test_session_waste_is_download_minus_viewed(self):
         # One viewer with unlimited headroom prefetches up to the access cap,
@@ -155,9 +155,8 @@ class TestAccounting:
         )
         *_, (play_time,), (waste,) = result.sessions.columns
         assert play_time == 5
-        downloaded = sum(l.bw_used for l in result.ledgers)
-        assert waste == pytest.approx(downloaded - 5.0)
-        assert waste == pytest.approx(sum(l.bw_wasted for l in result.ledgers))
+        assert waste == pytest.approx(result.ledgers.bw_used.sum() - 5.0)
+        assert waste == pytest.approx(result.ledgers.bw_wasted.sum())
 
     def test_completed_full_viewing_wastes_nothing(self):
         cfg = SimConfig(server_capacity=10.0, video_length=20, duration=80, warmup=0)
@@ -179,8 +178,7 @@ class TestStatisticalProperties:
         lam = 2.0
         result = engine.run(cfg, "be", arrivals.ArrivalProcess.poisson(lam),
                             _no_departure_model(L=50))
-        window = [l for l in result.ledgers if l.slot >= cfg.warmup_slots]
-        mean_active = sum(l.active for l in window) / len(window)
+        mean_active = result.ledgers.active[cfg.warmup_slots:].mean()
         assert mean_active == pytest.approx(lam * 50, rel=0.05)
 
     def test_freeze_time_monotone_in_load(self):
@@ -202,7 +200,7 @@ class TestDeterminism:
         a = engine.run(cfg, "bb", process, model)
         b = engine.run(cfg, "bb", process, model)
         assert a.report == b.report
-        assert [l.row() for l in a.ledgers] == [l.row() for l in b.ledgers]
+        assert a.ledgers.tobytes() == b.ledgers.tobytes()
 
     @pytest.mark.parametrize("name", ["eb", "ew"])
     def test_worlds_stepped_in_turn(self, name):
@@ -241,7 +239,7 @@ class TestDeterminism:
                 for (world, trail), c in zip(turns, slot_counts):
                     record(world, c, trail)
         for (a, a_trail), (b, b_trail) in zip(alone, turns):
-            assert [l.row() for l in a.ledgers] == [l.row() for l in b.ledgers]
+            assert a.ledgers.tobytes() == b.ledgers.tobytes()
             assert a.sessions.columns.tobytes() == b.sessions.columns.tobytes()
             assert a_trail == b_trail
             # Each guess is the last finite level its own world's fills gave.
@@ -299,6 +297,44 @@ class TestConfigValidation:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "slot,arrivals,active,bw_used,bw_wasted,departures"
         assert len(lines) == 51
+
+
+class TestSlotTable:
+    def test_stepping_past_duration_keeps_every_row(self):
+        # The table grows with the slots stepped, not with config.duration;
+        # 300 slots outgrow its first block.
+        cfg = SimConfig(server_capacity=10.0, video_length=20, duration=5, warmup=0)
+        world = World(cfg, "be", behavior.DepartureModel.synthetic(L=20))
+        rows = b"".join(world.step(i % 3).tobytes() for i in range(300))
+        ledgers = world.ledgers
+        assert ledgers.tobytes() == rows
+        assert np.array_equal(ledgers.slot, np.arange(300))
+        assert np.array_equal(ledgers.arrivals, np.arange(300) % 3)
+        assert ledgers.departures.sum() > 0
+
+    def test_export_of_an_empty_table_is_the_header(self, tmp_path):
+        world = World(SimConfig(video_length=20), "be", _no_departure_model())
+        path = tmp_path / "ledger.csv"
+        engine.export_ledgers(world.ledgers, path)
+        assert path.read_text() == engine.LEDGER_HEADER + "\n"
+
+
+class TestUnlimitedCapacity:
+    @pytest.mark.parametrize("mode", ["freeze", "skip"])
+    def test_be_eb_ew_are_one_simulation(self, mode):
+        # With no binding budget, be, eb and ew all serve every session its
+        # cap, so their slot tables and session logs agree bit for bit.
+        cfg = SimConfig(server_capacity=math.inf, video_length=60, playback_model=mode,
+                        duration=600, warmup=0, seed=5)
+        counts = arrivals.diurnal_trace(600, 0.5, 6.0, np.random.default_rng(5))
+        model = behavior.DepartureModel.synthetic(L=60)
+        results = [engine.run(cfg, name, arrivals.ArrivalProcess.trace(counts), model)
+                   for name in ("be", "eb", "ew")]
+        be = results[0]
+        assert len(be.sessions) > 500 and be.ledgers.bw_wasted.sum() > 0
+        for other in results[1:]:
+            assert other.ledgers.tobytes() == be.ledgers.tobytes()
+            assert other.sessions.columns.tobytes() == be.sessions.columns.tobytes()
 
 
 def _check_every_slot(cfg, strategy, model, counts):
@@ -430,7 +466,7 @@ class TestCompaction:
         before = _columns(world, copy=True)
         departing = np.zeros(n, dtype=bool)
         departing[gone] = True
-        world._depart(departing.nonzero()[0], engine.SlotLedger(slot=0))
+        world._depart(departing.nonzero()[0])
         assert world.active_count == n - len(gone)
         for name, column in _columns(world).items():
             assert np.array_equal(column, before[name][~departing])
@@ -451,8 +487,7 @@ class TestCompaction:
         world = _filled_world(40, seed=3, playback_model=mode, bitrate=bitrate)
         rows = _columns(world, copy=True)
         gone = np.array([0, 6, 7, 21, 39])
-        ledger = engine.SlotLedger(slot=0)
-        world._depart(gone, ledger)
+        wasted = world._depart(gone)
         logged = dict(zip(metrics.SessionLog.FIELDS, world.sessions.columns))
         assert np.array_equal(logged["arrival_slot"], rows["arrival"][gone])
         assert np.array_equal(logged["freeze_count"], rows["freeze_count"][gone])
@@ -465,8 +500,7 @@ class TestCompaction:
         waste = np.maximum(rows["downloaded"] - viewed * bitrate, 0.0)[gone]
         assert np.count_nonzero(waste) >= 3
         assert np.array_equal(logged["waste"], waste)
-        assert ledger.bw_wasted == float(waste.sum())
-        assert ledger.departures == gone.size
+        assert wasted == float(waste.sum())
 
     def test_grow_right_after_a_swap(self):
         # A departure swaps the slab with its spare; growing the slab next
@@ -475,7 +509,7 @@ class TestCompaction:
         before = _columns(world, copy=True)
         departing = np.zeros(50, dtype=bool)
         departing[[0, 7, 8, 30, 49]] = True
-        world._depart(departing.nonzero()[0], engine.SlotLedger(slot=0))
+        world._depart(departing.nonzero()[0])
         assert world._slab.shape[1] == 50
         world._admit(20)  # 45 + 20 > 50 columns: grows
         assert world._slab.shape == world._spare.shape
@@ -488,7 +522,7 @@ class TestCompaction:
         # A second compaction goes through the grown spare slab.
         grown = _columns(world, copy=True)
         gone = np.array([3, 44, 45, 64])
-        world._depart(gone, engine.SlotLedger(slot=0))
+        world._depart(gone)
         keep = ~np.isin(np.arange(65), gone)
         for name, column in _columns(world).items():
             assert np.array_equal(column, grown[name][keep])

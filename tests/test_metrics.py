@@ -13,11 +13,6 @@ from vodsim.metrics import (
     csv_row,
     reports_to_json,
 )
-from vodsim.engine import SlotLedger
-
-
-def _ledger(slot, bw):
-    return SlotLedger(slot=slot, bw_used=bw)
 
 
 def _log(*sessions):
@@ -35,7 +30,7 @@ class TestAggregate:
             (0, 0, 0.0, 50.0, 0.0),
             (0, 0, 0.0, 50.0, 0.0),
         )
-        report = aggregate(sessions, [])
+        report = aggregate(sessions, np.zeros(0))
         assert report.percent_user == 0.25
         assert report.avg_n_freeze == 0.5
         assert report.avg_t_freeze == 2.5
@@ -44,21 +39,20 @@ class TestAggregate:
 
     def test_no_freezes_all_zero(self):
         sessions = _log(*[(0, 0, 0.0, 30.0, 1.0)] * 3)
-        report = aggregate(sessions, [])
+        report = aggregate(sessions, np.zeros(0))
         assert (report.percent_user, report.avg_n_freeze, report.avg_t_freeze,
                 report.freeze_ratio, report.rate_freeze) == (0, 0, 0, 0, 0)
 
     def test_waste_is_summed(self):
-        report = aggregate(_log((0, 0, 0.0, 150.0, 150.0)), [])
+        report = aggregate(_log((0, 0, 0.0, 150.0, 150.0)), np.zeros(0))
         assert report.wasted_bw == 150.0
 
     def test_peak_over_ledgers(self):
-        report = aggregate(_log((0, 0, 0.0, 1.0, 0.0)),
-                           [_ledger(0, 3.0), _ledger(1, 7.5), _ledger(2, 2.0)])
+        report = aggregate(_log((0, 0, 0.0, 1.0, 0.0)), np.array([3.0, 7.5, 2.0]))
         assert report.peak_bw == 7.5
 
     def test_empty_is_flagged(self):
-        report = aggregate(_log(), [_ledger(0, 2.0)])
+        report = aggregate(_log(), np.array([2.0]))
         assert report.empty
         assert report.sessions_completed == 0
         assert report.peak_bw == 2.0
@@ -77,12 +71,12 @@ class TestInvariants:
                 s if s[1] else (0, 0, 0.0, s[3], 0.0)
                 for s in sessions
             ]
-            report = aggregate(_log(*sessions), [])
+            report = aggregate(_log(*sessions), np.zeros(0))
             assert report.avg_n_freeze >= report.percent_user - 1e-12
 
     def test_zero_metric_equivalence(self):
         sessions = _log((0, 0, 0.0, 10.0, 0.0))
-        report = aggregate(sessions, [])
+        report = aggregate(sessions, np.zeros(0))
         assert report.freeze_ratio == report.avg_t_freeze == report.rate_freeze == 0.0
 
 

@@ -67,8 +67,8 @@ def load_config_file(path) -> dict:
 def _coerce(key: str, value: str):
     if key == "playback_model":
         return value
-    if key == "server_capacity":
-        return _parse_capacity(value)
+    if key == "server_capacity" and value.lower() == "unlimited":
+        return math.inf  # any other value is a float, checked by `SimConfig.validate`
     if key in ("video_length", "seed", "duration", "warmup"):
         return int(value)
     return float(value)
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the analytical-claim oracles")
     p_verify.add_argument("--seed", type=_nonnegative_int, default=12345)
-    p_verify.add_argument("--cases", type=int, default=20)
+    p_verify.add_argument("--cases", type=_positive_int, default=20)
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

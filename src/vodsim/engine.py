@@ -24,10 +24,13 @@ Columns [0, n) are the n active sessions, oldest arrival first.  Admission
 writes the columns after them; playback and freeze updates are whole-row
 arithmetic over the first n columns, and a slot in which no session is
 frozen or freezes skips the freeze updates, which would change nothing.
+The slot loop counts content seconds: `World` divides the access cap and
+the capacity by the bitrate once, and the bitrate multiplies back in only
+where bandwidth is written out, in `bw_used` and each departure's waste.
 No allocator's result shares memory with the pool it was given, and none
 keeps the pool, so once the allocator returns `step` reuses the pool's `cap`
-row as scratch (for rates / bitrate, buffer - 1.0 and the 0.0/1.0 consumed
-step) and writes the departure test into the startup and playing masks.
+row as scratch (for buffer - 1.0 and the 0.0/1.0 consumed step) and writes
+the departure test into the startup and playing masks.
 One scan of that test finds the departing columns.  After the log append,
 a departure copies the survivors into a spare slab of the same shape, the
 prefix before the first gap and then each run of survivors, one slice per
@@ -120,10 +123,6 @@ class SimConfig:
     def warmup_slots(self) -> int:
         return 2 * self.video_length if self.warmup is None else self.warmup
 
-    @property
-    def file_size(self) -> float:
-        return self.video_length * self.bitrate
-
 
 class World:
     """Mutable simulation state for one run."""
@@ -143,7 +142,7 @@ class World:
         self.config = config
         self.strategy = strategy
         self.model = model
-        self._alloc = make_allocator(strategy, config.bitrate, model)
+        self._alloc = make_allocator(strategy, model)
         # The second of two substreams of the seed; `run` draws arrivals
         # from the first.
         self._dep_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
@@ -151,12 +150,13 @@ class World:
         self._table = np.zeros(0, dtype=SLOT_DTYPE)  # rows [0, slot) are written
         self.sessions = SessionLog()  # departed sessions, in departure order
         self._skip_mode = config.playback_model == "skip"
-        # The config's scalars, read once rather than on every slot.  A
-        # session has its whole file once `downloaded >= _complete_at`.
-        self._file_size = config.file_size
-        self._complete_at = self._file_size - 1e-9
-        self._access_cap = config.access_cap
-        self._capacity = config.server_capacity
+        # The config's scalars, read once rather than on every slot, with
+        # the capacities in content seconds per slot.  A session has its
+        # whole video once `downloaded >= _complete_at`.
+        self._video_length = config.video_length
+        self._complete_at = config.video_length - 1e-9
+        self._access_cap = config.access_cap / config.bitrate
+        self._capacity = config.server_capacity / config.bitrate
         self._bitrate = config.bitrate
         self._startup_threshold = config.startup_threshold
         self._rebuffer_threshold = config.rebuffer_threshold
@@ -223,16 +223,16 @@ class World:
             # to consume: those leaving startup or a freeze resume next slot.
             playing = state == PLAYING
             # The most each session can take this slot: its access link or
-            # what is left of its file, whichever is less.  What is left is
+            # what is left of its video, whichever is less.  What is left is
             # positive: a newcomer holds nothing, and a session within 1e-9
-            # of its file size departed at the end of the last slot.
-            cap = self._file_size - downloaded
+            # of its video length departed at the end of the last slot.
+            cap = self._video_length - downloaded
             np.minimum(cap, self._access_cap, out=cap)
             pool = PoolState(buffer, playback, cap, in_startup, playing)
             rates = self._alloc(pool, self._capacity)
             scratch = cap  # the pool is done with (see the module docstring)
-            bw_used = np.add.reduce(rates)
-            buffer += np.divide(rates, self._bitrate, out=scratch)
+            bw_used = np.add.reduce(rates) * self._bitrate
+            buffer += rates
             downloaded += rates
 
             state += in_startup & (buffer >= self._startup_threshold)  # STARTUP -> PLAYING
@@ -291,9 +291,9 @@ class World:
             np.subtract(playback, block[0], out=waste)  # viewed: block[0] is skipped
         else:
             np.maximum(playback, waste, out=waste)  # viewed: waste holds target
-        waste *= self._bitrate
         np.subtract(downloaded, waste, out=waste)
         np.maximum(waste, 0.0, out=waste)
+        waste *= self._bitrate
         self.sessions.append(block[ARRIVAL - SKIPPED:])
         self._n = _compact(self._slab, self._spare, self._n, gone)
         self._slab, self._spare = self._spare, self._slab

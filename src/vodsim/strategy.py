@@ -1,12 +1,14 @@
 """Per-slot bandwidth allocation strategies.
 
 Six strategies share one idea: max-min fair water-filling subject to
-per-user demand caps.  SC/SC+ cap each user at (1 + delta) times the bitrate,
-BE at the access link, EB water-fills projected next-slot buffers, EW
-water-fills hazard-weighted buffers, and BB pins browsing-phase users to the
-bitrate and serves the rest best-effort (falling back to plain BE when the
-reservation would starve the viewing users).  sc, sc+, be and bb sort
-their caps (`_fair_fill`); eb and ew search for their level (`_level_fill`).
+per-user demand caps.  SC/SC+ cap each user at 1 + delta seconds of video
+per slot, BE at the access link, EB water-fills projected next-slot buffers,
+EW water-fills hazard-weighted buffers, and BB pins browsing-phase users to
+one second of video per slot and serves the rest best-effort (falling back
+to plain BE when the reservation would starve the viewing users).  sc, sc+,
+be and bb sort their caps (`_fair_fill`); eb and ew search for their level
+(`_level_fill`).  Rates, caps and the capacity are all in content seconds
+per slot: the engine converts to and from bandwidth.
 
 Every *_rates allocator is a pure function of a `PoolState` (one array per
 session field) and returns one rate per session, in pool order, as a fresh
@@ -33,33 +35,33 @@ class PoolState(NamedTuple):
 
     buffer: np.ndarray         # seconds of unplayed content
     viewed: np.ndarray         # playback position, in whole slots
-    cap: np.ndarray            # most the session can take this slot (rate units)
+    cap: np.ndarray            # most the session can take this slot (content seconds)
     in_startup: np.ndarray     # bool
     playing: np.ndarray        # bool; False for startup and frozen sessions
 
 
-def _level_fill(floors, weights, caps, budget, bitrate=1.0, guess=None):
+def _level_fill(floors, weights, caps, budget, guess=None):
     """Raise weighted levels w_i*(floor_i + x_i) to a common value.
 
     Finds x (0 <= x_i <= cap_i) for caps >= 0 that lexicographically
     maximizes the level vector within the budget.  Weights lie in (0, 1] or
     are infinite, which holds a user at x = -floor; None means unit weights.
-    Returns (x * bitrate, level) in the budget's units; level is +inf when
-    every user ends at its cap.  Demand that fits is returned as it is.
+    Returns (x, level); level is +inf when every user ends at its cap.
+    Demand that fits is returned as it is, in a fresh array.
     """
-    demand = np.multiply(caps, bitrate)
-    if budget >= np.add.reduce(demand):
-        return demand, math.inf
-    return _binding_fill(np.asarray(floors, dtype=float), weights, demand, budget, bitrate, guess)
+    caps = np.array(caps, dtype=float)
+    if budget >= np.add.reduce(caps):
+        return caps, math.inf
+    return _binding_fill(np.asarray(floors, dtype=float), weights, caps, budget, guess)
 
 
-def _binding_fill(floors, weights, demand, budget, bitrate, guess):
+def _binding_fill(floors, weights, caps, budget, guess):
     """`_level_fill` when the demand does not fit in the budget.
 
-    Rate i at level L is clip(L * bitrate / w_i - floor_i * bitrate, 0,
-    demand_i), so the rates' sum never falls as L rises.  L runs over the
-    multiples of h, the power of two that puts every breakpoint w*floor and
-    w*(floor + cap) within 2**52 steps of 0.  The level is the first step at
+    Rate i at level L is clip(L / w_i - floor_i, 0, cap_i), so the rates'
+    sum never falls as L rises.  L runs over the multiples of h, the power
+    of two that puts every breakpoint w*floor and w*(floor + cap) within
+    2**52 steps of 0.  The level is the first step at
     which the sum reaches the budget, or the step below if it overspends
     there: one number, so no bit of the result depends on `guess`.  The
     rates are then rounded down to multiples of q, the power of two with
@@ -78,27 +80,26 @@ def _binding_fill(floors, weights, demand, budget, bitrate, guess):
     if not budget > 0.0:  # also NaN
         levels = floors if weights is None else weights * floors
         return np.zeros(n), float(levels.min()) if n else math.inf
-    k = bitrate if weights is None else np.divide(bitrate, weights)
-    g = floors if bitrate == 1.0 else floors * bitrate
+    k = 1.0 if weights is None else np.divide(1.0, weights)
 
     def rates_at(level, slope=False):
         # The rates, their sum and, if asked, how fast the sum grows.
-        u = np.subtract(level * k, g) if weights is None else np.multiply(k, level)
+        u = np.subtract(level, floors) if weights is None else np.multiply(k, level)
         if weights is not None:
-            u -= g
+            u -= floors
         np.maximum(u, 0.0, out=u)
-        np.minimum(u, demand, out=u)
+        np.minimum(u, caps, out=u)
         if slope:
-            rising = (u > 0.0) & (u < demand)
-            slope = np.count_nonzero(rising) * k if weights is None else float(np.dot(rising, k))
+            rising = (u > 0.0) & (u < caps)
+            slope = np.count_nonzero(rising) if weights is None else float(np.dot(rising, k))
         return u, float(np.add.reduce(u)), slope
 
-    span = float(np.maximum.reduce(np.abs(floors))) + float(np.maximum.reduce(demand)) / bitrate
+    span = float(np.maximum.reduce(np.abs(floors))) + float(np.maximum.reduce(caps))
     h = math.ldexp(1.0, max(math.frexp(span)[1] - 52, -1074))
 
     def everyone_rising():
         # Where the budget would run out if every user rose from its floor.
-        return (budget + float(np.add.reduce(g))) / float(np.add.reduce(np.broadcast_to(k, n)))
+        return (budget + float(np.add.reduce(floors))) / float(np.add.reduce(np.broadcast_to(k, n)))
 
     if guess is None or not math.isfinite(guess):
         guess = everyone_rising()
@@ -186,12 +187,12 @@ def _fair_fill(caps, budget):
     return np.minimum(caps, level), float(level)
 
 
-def sc_rates(pool: PoolState, C: float, bitrate: float, delta: float = 0.0) -> np.ndarray:
-    """Simple rate control: demand capped at bitrate*(1+delta); startup users
-    are served best-effort."""
+def sc_rates(pool: PoolState, C: float, delta: float = 0.0) -> np.ndarray:
+    """Simple rate control: demand capped at 1 + delta seconds of video per
+    slot; startup users are served best-effort."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    d = np.where(pool.in_startup, pool.cap, np.minimum(pool.cap, bitrate * (1.0 + delta)))
+    d = np.where(pool.in_startup, pool.cap, np.minimum(pool.cap, 1.0 + delta))
     return _fair_fill(d, C)[0]
 
 
@@ -201,7 +202,7 @@ def be_rates(pool: PoolState, C: float) -> np.ndarray:
 
 
 def _buffer_fill(
-    pool: PoolState, C: float, bitrate: float, weights: np.ndarray | None, guess=None
+    pool: PoolState, C: float, weights: np.ndarray | None, guess=None
 ) -> tuple[np.ndarray, float]:
     """Weighted water-fill of projected next-slot buffers; `weights=None`
     means unit weights.  Returns (rates, level), the positive-weight users'
@@ -209,50 +210,47 @@ def _buffer_fill(
     fill.  Zero-weight users cannot raise the waste level, so they share
     what is left at unit weight once every other user has its cap.
     """
-    caps = pool.cap / bitrate
+    caps = pool.cap
     pos = None if weights is None else weights > 0
     if pos is None or pos.all():
         # `_level_fill`'s own fit test, made before the floors and weights.
-        demand = caps if bitrate == 1.0 else caps * bitrate
-        if C >= np.add.reduce(demand):
-            return demand, math.inf
+        if C >= np.add.reduce(caps):
+            return caps.copy(), math.inf
         if weights is not None and weights.size:
             weights = weights / weights.max()  # scale-invariant; constant weights become 1.0
-        return _binding_fill(pool.buffer - pool.playing, weights, demand, C, bitrate, guess)
+        return _binding_fill(pool.buffer - pool.playing, weights, caps, C, guess)
     floors = pool.buffer - pool.playing
-    demand = caps * bitrate
-    if pos.any() and (C < np.add.reduce(demand[pos])
-                      or C < np.add.reduce(np.where(pos, demand, 0.0))):
+    if pos.any() and (C < np.add.reduce(caps[pos])
+                      or C < np.add.reduce(np.where(pos, caps, 0.0))):
         # The positive-weight users' caps overspend C in their order or the pool's.
         w = weights[pos]
         out = np.zeros(floors.size)
-        out[pos], level = _binding_fill(floors[pos], w / w.max(), demand[pos], C, bitrate, guess)
+        out[pos], level = _binding_fill(floors[pos], w / w.max(), caps[pos], C, guess)
         return out, level
     if not C > 0.0:
         return np.zeros(floors.size), math.inf
     # Infinite weight and floor -cap hold a positive-weight user at its cap:
     # one fill over all users, with one fit test, serves the rest.
-    rates, _ = _level_fill(np.where(pos, -caps, floors), np.where(pos, math.inf, 1.0),
-                           caps, C, bitrate)
+    rates, _ = _level_fill(np.where(pos, -caps, floors), np.where(pos, math.inf, 1.0), caps, C)
     return rates, math.inf
 
 
-def eb_rates(pool: PoolState, C: float, bitrate: float) -> np.ndarray:
+def eb_rates(pool: PoolState, C: float) -> np.ndarray:
     """Equal-buffer streaming: water-fill projected next-slot buffers."""
-    return _buffer_fill(pool, C, bitrate, None)[0]
+    return _buffer_fill(pool, C, None)[0]
 
 
-def ew_rates(pool: PoolState, C: float, bitrate: float, hazard: np.ndarray) -> np.ndarray:
+def ew_rates(pool: PoolState, C: float, hazard: np.ndarray) -> np.ndarray:
     """Equal waste-rate streaming: equalize hazard * projected buffer.
 
     `hazard` holds one value in [0, 1] per session.  The engine passes
     `DepartureModel.hazard_at(pool.viewed)`, entries of the model's `p`,
     which was checked and clipped to [0, 1] when the model was built.
     """
-    return _buffer_fill(pool, C, bitrate, hazard)[0]
+    return _buffer_fill(pool, C, hazard)[0]
 
 
-def _level_allocator(bitrate: float, hazard_at=None):
+def _level_allocator(hazard_at=None):
     """eb (no `hazard_at`) or ew for the engine: `_buffer_fill`, started
     from the last finite level it returned."""
     last = None
@@ -260,7 +258,7 @@ def _level_allocator(bitrate: float, hazard_at=None):
     def alloc(pool: PoolState, C: float) -> np.ndarray:
         nonlocal last
         weights = None if hazard_at is None else hazard_at(pool.viewed)
-        rates, level = _buffer_fill(pool, C, bitrate, weights, last)
+        rates, level = _buffer_fill(pool, C, weights, last)
         if math.isfinite(level):
             last = level
         return rates
@@ -268,13 +266,13 @@ def _level_allocator(bitrate: float, hazard_at=None):
     return alloc
 
 
-def bb_rates(pool: PoolState, C: float, bitrate: float, browse_slots: int) -> np.ndarray:
+def bb_rates(pool: PoolState, C: float, browse_slots: int) -> np.ndarray:
     """Behavior-based streaming: pin browsing users (fewer than
-    `browse_slots` slots viewed) to the bitrate, serve the rest best-effort;
-    fall back to plain BE if browsing would out-pace viewing.  When every
-    demand fits in C, each session gets its demand."""
+    `browse_slots` slots viewed) to one second of video per slot, serve the
+    rest best-effort; fall back to plain BE if browsing would out-pace
+    viewing.  When every demand fits in C, each session gets its demand."""
     browsing = (~pool.in_startup) & (pool.viewed < browse_slots)
-    rates = np.where(browsing, np.minimum(pool.cap, bitrate), pool.cap)
+    rates = np.where(browsing, np.minimum(pool.cap, 1.0), pool.cap)
     if C >= rates.sum():
         return rates
     if not browsing.any():
@@ -296,7 +294,7 @@ def bb_rates(pool: PoolState, C: float, bitrate: float, browse_slots: int) -> np
     return rates
 
 
-def make_allocator(name: str, bitrate: float, model):
+def make_allocator(name: str, model):
     """Build the array-level allocator the engine drives each slot.
 
     `model` (a DepartureModel) gives ew its hazards and bb its browsing-phase
@@ -304,15 +302,15 @@ def make_allocator(name: str, bitrate: float, model):
     """
     name = name.lower()
     if name == "sc":
-        return lambda pool, C: sc_rates(pool, C, bitrate, 0.0)
+        return lambda pool, C: sc_rates(pool, C, 0.0)
     if name == "sc+":
-        return lambda pool, C: sc_rates(pool, C, bitrate, 0.05)
+        return lambda pool, C: sc_rates(pool, C, 0.05)
     if name == "be":
         return lambda pool, C: be_rates(pool, C)
     if name == "eb":
-        return _level_allocator(bitrate)
+        return _level_allocator()
     if name == "ew":
-        return _level_allocator(bitrate, model.hazard_at)
+        return _level_allocator(model.hazard_at)
     if name == "bb":
-        return lambda pool, C: bb_rates(pool, C, bitrate, model.browse_slots)
+        return lambda pool, C: bb_rates(pool, C, model.browse_slots)
     raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")

@@ -268,8 +268,8 @@ def test_criterion_9_ew_generalizes_eb():
         pool = PoolState(buffer=buffer, viewed=300 * ratio, cap=np.minimum(cap, remaining),
                          in_startup=startup, playing=playing & ~startup)
         C = float(rng.uniform(0.5, 2.0 * n))
-        ew = ew_rates(pool, C, 1.0, np.full(n, hazard))
-        eb = eb_rates(pool, C, 1.0)
+        ew = ew_rates(pool, C, np.full(n, hazard))
+        eb = eb_rates(pool, C)
         if not np.array_equal(ew, eb):
             mismatches += 1
     ok = mismatches == 0

@@ -203,6 +203,30 @@ class TestInputErrors:
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_rejects_nonpositive_config_file_capacity(self, tmp_path, capsys, value):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"server_capacity = {value}\n")
+        code = _exit_code(["run", "--strategy", "be", "--config", str(cfg),
+                           "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert (f"error: server_capacity must be positive, got {float(value)}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_capacity_flag_keeps_its_usage_error(self, capsys, value):
+        assert _exit_code(["run", "--strategy", "be", "--capacity", value]) == 2
+        assert ("error: argument --capacity: capacity must be positive or 'unlimited'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_verify_rejects_fewer_than_one_case(self, capsys, value):
+        assert _exit_code(["verify", "--cases", value]) == 2
+        err = capsys.readouterr()
+        assert f"argument --cases: must be a positive integer, got {value}" in err.err
+        assert "PASS" not in err.out
+
     def test_target_fraction_without_trace(self, tmp_path, capsys):
         code = cli.main(["run", "--strategy", "be", "--target-fraction", "0.9",
                          *SMALL, "--out", str(tmp_path / "x.csv")])

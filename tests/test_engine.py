@@ -216,8 +216,8 @@ class TestDeterminism:
         guesses = []
         real = strategy._buffer_fill
 
-        def spy(pool, C, bitrate, weights, guess=None):
-            rates, level = real(pool, C, bitrate, weights, guess)
+        def spy(pool, C, weights, guess=None):
+            rates, level = real(pool, C, weights, guess)
             guesses.append((guess, level))
             return rates, level
 
@@ -340,8 +340,10 @@ class TestUnlimitedCapacity:
 def _check_every_slot(cfg, strategy, model, counts):
     """Run a World over `counts` arrivals and check every slot's invariants,
     read through a wrapped `engine.make_allocator` and `engine._compact` (no
-    `World` option).  eb and ew spend at most C exactly, the others to
-    1e-9.  Returns the number of slots where capacity binds."""
+    `World` option).  The pool's caps are the content seconds left to each
+    session, capped by its access link; every rate stays within its cap
+    exactly.  eb and ew spend at most C exactly, the others to 1e-9.
+    Returns the number of slots where capacity binds."""
     exact = strategy in ("eb", "ew")
     slot = {}
     real_make_allocator, real_compact = engine.make_allocator, engine._compact
@@ -354,12 +356,13 @@ def _check_every_slot(cfg, strategy, model, counts):
             # hazard_at indexes the model's rates by these slot counts.
             v = pool.viewed
             assert np.all((v == np.floor(v)) & (v >= 0) & (v < cfg.video_length))
-            rates = alloc(pool, C)
             slot["before"] = before = _columns(world, copy=True)
-            slot["rates"] = rates
-            cap = np.minimum(cfg.access_cap, cfg.file_size - before["downloaded"])
+            left = cfg.video_length - before["downloaded"]
+            cap = np.minimum(cfg.access_cap / cfg.bitrate, left)
+            assert np.array_equal(cap, pool.cap)
+            slot["rates"] = rates = alloc(pool, C)
             assert np.all(rates >= 0.0)
-            assert np.all(rates <= cap * (1 + 1e-12))
+            assert np.all(rates <= cap)
             if exact:
                 assert np.add.reduce(rates) <= C
             else:
@@ -387,7 +390,7 @@ def _check_every_slot(cfg, strategy, model, counts):
                     assert np.array_equal(column, after[name][survivors])
             if "rates" in slot:
                 before = slot["before"]
-                binding += slot["rates"].sum() >= cfg.server_capacity * (1 - 1e-9)
+                binding += slot["rates"].sum() * cfg.bitrate >= cfg.server_capacity * (1 - 1e-9)
                 assert np.array_equal(after["downloaded"], before["downloaded"] + slot["rates"])
                 assert np.all(after["buffer"] >= 0.0)
                 assert np.all(np.isin(after["state"], (engine.STARTUP, engine.PLAYING, engine.FROZEN)))
@@ -420,18 +423,47 @@ class TestSlotInvariants:
         rebuffer=st.floats(min_value=0.5, max_value=6.0),
         trigger_share=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**16),
+        bitrate=st.sampled_from([1.0, 0.3, 2.5]),
     )
     @settings(max_examples=20, deadline=None)
     def test_invariants_hold_on_random_configs(self, strategy, rho, capacity, L, mode,
-                                               startup, rebuffer, trigger_share, seed):
-        cfg = SimConfig(server_capacity=capacity, video_length=L, playback_model=mode,
-                        startup_threshold=startup, rebuffer_threshold=rebuffer,
-                        freeze_trigger=trigger_share * rebuffer,
+                                               startup, rebuffer, trigger_share, seed, bitrate):
+        cfg = SimConfig(bitrate=bitrate, server_capacity=capacity, video_length=L,
+                        playback_model=mode, startup_threshold=startup,
+                        rebuffer_threshold=rebuffer, freeze_trigger=trigger_share * rebuffer,
                         duration=300, warmup=0, seed=seed)
         model = behavior.DepartureModel.synthetic(L=L)
         lam = engine.poisson_arrival_rate(rho, cfg, model)
         counts = arrivals.ArrivalProcess.poisson(lam).generate(300, np.random.default_rng(seed))
         _check_every_slot(cfg, strategy, model, counts)
+
+
+class TestBitrateIsAUnit:
+    """The slot loop counts seconds of video, so scaling the bitrate, the
+    access cap and the server capacity by one power of two scales the
+    bandwidth columns by it exactly and leaves every other column's bits."""
+
+    @pytest.mark.parametrize("mode", ["freeze", "skip"])
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_only_bandwidth_scales(self, strategy, mode):
+        base = SimConfig(server_capacity=40.0, video_length=60, playback_model=mode,
+                         duration=500, warmup=0, seed=7)
+        model = behavior.DepartureModel.synthetic(L=60)
+        lam = load_to_arrival_rate(1.2, 40.0, 60, 1.0, model.mean_viewing_ratio)
+        process = arrivals.ArrivalProcess.trace(
+            arrivals.ArrivalProcess.poisson(lam).generate(500, np.random.default_rng(7)))
+        ref = engine.run(base, strategy, process, model)
+        assert ref.ledgers.bw_wasted.sum() > 0 and len(ref.sessions) > 100
+        for b in (0.25, 4.0):
+            cfg = replace(base, bitrate=b, access_cap=base.access_cap * b,
+                          server_capacity=base.server_capacity * b)
+            got = engine.run(cfg, strategy, process, model)
+            for name in engine.SLOT_FIELDS:
+                want = ref.ledgers[name] * (b if name in ("bw_used", "bw_wasted") else 1.0)
+                assert got.ledgers[name].tobytes() == want.tobytes(), (b, name)
+            want = ref.sessions.columns.copy()
+            want[metrics.SessionLog.FIELDS.index("waste")] *= b
+            assert got.sessions.columns.tobytes() == want.tobytes(), b
 
 
 def _filled_world(n, seed=0, **config):
@@ -482,9 +514,12 @@ class TestCompaction:
     @pytest.mark.parametrize("mode", ["freeze", "skip"])
     def test_logged_fields_are_the_named_rows(self, mode):
         # `_depart` logs a slice of the slab's rows; each logged field must
-        # come from the row of its name, whatever the row order.
+        # come from the row of its name, whatever the row order.  The filled
+        # values in [0, 1) are taken as bandwidth: downloaded holds content
+        # seconds, so it is divided by the bitrate.
         bitrate = 0.25
         world = _filled_world(40, seed=3, playback_model=mode, bitrate=bitrate)
+        _columns(world)["downloaded"] /= bitrate
         rows = _columns(world, copy=True)
         gone = np.array([0, 6, 7, 21, 39])
         wasted = world._depart(gone)
@@ -497,7 +532,7 @@ class TestCompaction:
             viewed = rows["playback"] - rows["skipped"]
         else:
             viewed = np.maximum(rows["playback"], rows["target"])
-        waste = np.maximum(rows["downloaded"] - viewed * bitrate, 0.0)[gone]
+        waste = np.maximum(rows["downloaded"] - viewed, 0.0)[gone] * bitrate
         assert np.count_nonzero(waste) >= 3
         assert np.array_equal(logged["waste"], waste)
         assert wasted == float(waste.sum())

@@ -156,13 +156,13 @@ class TestLeanFill:
         pool = PoolState(buffer=buffer, viewed=np.zeros(n), cap=caps,
                          in_startup=np.zeros(n, dtype=bool), playing=playing.astype(bool))
         C = _budget(share, caps)
-        masked, masked_level = _buffer_fill(pool, C, 1.0, weights)
-        short, short_level = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, weights[:-1])
+        masked, masked_level = _buffer_fill(pool, C, weights)
+        short, short_level = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, weights[:-1])
         assert masked[-1] == 0.0
         assert masked[:-1].tobytes() == short.tobytes()
         assert np.float64(masked_level).tobytes() == np.float64(short_level).tobytes()
-        unit, _ = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, None)
-        ones, _ = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, 1.0, np.ones(n - 1))
+        unit, _ = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, None)
+        ones, _ = _buffer_fill(PoolState(*(f[:-1] for f in pool)), C, np.ones(n - 1))
         assert unit.tobytes() == ones.tobytes()
 
 
@@ -235,19 +235,19 @@ class TestLevelFill:
 
 class TestSC:
     def test_capacity_slack(self):
-        rates = sc_rates(_pool(3), C=10.0, bitrate=1.0)
+        rates = sc_rates(_pool(3), C=10.0)
         assert rates.tolist() == [1.0, 1.0, 1.0]
 
     def test_scarce_equal_split(self):
-        rates = sc_rates(_pool(3), C=2.0, bitrate=1.0)
+        rates = sc_rates(_pool(3), C=2.0)
         np.testing.assert_allclose(rates, [2 / 3] * 3)
 
     def test_plus_variant_overprovisions(self):
-        rates = sc_rates(_pool(2), C=10.0, bitrate=1.0, delta=0.05)
+        rates = sc_rates(_pool(2), C=10.0, delta=0.05)
         np.testing.assert_allclose(rates, [1.05, 1.05])
 
     def test_not_work_conserving(self):
-        rates = sc_rates(_pool(2), C=10.0, bitrate=1.0)
+        rates = sc_rates(_pool(2), C=10.0)
         assert rates.sum() == pytest.approx(2.0)
 
 
@@ -267,15 +267,15 @@ class TestBE:
 
 class TestEB:
     def test_equalizes_projected_buffers(self):
-        rates = eb_rates(_pool(buffers=[0.0, 2.0, 4.0]), C=3.0, bitrate=1.0)
+        rates = eb_rates(_pool(buffers=[0.0, 2.0, 4.0]), C=3.0)
         np.testing.assert_allclose(rates, [2.0, 1.0, 0.0])
 
     def test_already_equal(self):
-        rates = eb_rates(_pool(buffers=[3.0, 3.0]), C=2.0, bitrate=1.0)
+        rates = eb_rates(_pool(buffers=[3.0, 3.0]), C=2.0)
         np.testing.assert_allclose(rates, [1.0, 1.0])
 
     def test_symmetric_split(self):
-        rates = eb_rates(_pool(buffers=[0.0, 0.0]), C=1.0, bitrate=1.0)
+        rates = eb_rates(_pool(buffers=[0.0, 0.0]), C=1.0)
         np.testing.assert_allclose(rates, [0.5, 0.5])
 
     def test_cap_lost_next_to_its_floor(self):
@@ -284,24 +284,24 @@ class TestEB:
         # than the whole cap.
         pool = _pool(buffers=1.0, caps=1e-313, playing=False, n=1)
         C = float(np.nextafter(1e-313, 0.0))
-        assert eb_rates(pool, C, bitrate=1.0).tolist() == [0.0]
-        assert eb_rates(pool, 1e-313, bitrate=1.0).tolist() == [1e-313]
+        assert eb_rates(pool, C).tolist() == [0.0]
+        assert eb_rates(pool, 1e-313).tolist() == [1e-313]
 
 
 class TestEW:
     def test_equalizes_waste_rates(self):
         pool = _pool(buffers=[1.0, 1.0], caps=[10.0, 10.0])
-        rates = ew_rates(pool, C=2.0, bitrate=1.0, hazard=np.array([0.2, 0.1]))
+        rates = ew_rates(pool, C=2.0, hazard=np.array([0.2, 0.1]))
         np.testing.assert_allclose(rates, [2 / 3, 4 / 3])
 
     def test_constant_hazard_reduces_to_eb(self):
         pool = _pool(buffers=[0.3, 2.7, 1.1], caps=[1.5, 2.0, 2.0])
-        ew = ew_rates(pool, C=2.5, bitrate=1.0, hazard=np.full(3, 0.1))
-        eb = eb_rates(pool, C=2.5, bitrate=1.0)
+        ew = ew_rates(pool, C=2.5, hazard=np.full(3, 0.1))
+        eb = eb_rates(pool, C=2.5)
         assert np.array_equal(ew, eb)
 
     def test_single_user(self):
-        rates = ew_rates(_pool(caps=[2.0]), C=10.0, bitrate=1.0, hazard=np.array([0.5]))
+        rates = ew_rates(_pool(caps=[2.0]), C=10.0, hazard=np.array([0.5]))
         assert rates.tolist() == [2.0]
 
     def test_zero_hazard_users_filled_last(self):
@@ -309,10 +309,10 @@ class TestEW:
         hazard = np.array([0.2, 0.0])
         # Zero-hazard users cannot raise waste, so the positive-hazard user
         # is served first and user 1 only receives the leftover capacity.
-        scarce = ew_rates(pool, C=1.0, bitrate=1.0, hazard=hazard)
+        scarce = ew_rates(pool, C=1.0, hazard=hazard)
         assert scarce[0] == pytest.approx(1.0)
         assert scarce[1] == pytest.approx(0.0)
-        ample = ew_rates(pool, C=3.0, bitrate=1.0, hazard=hazard)
+        ample = ew_rates(pool, C=3.0, hazard=hazard)
         assert ample[0] == pytest.approx(2.0)
         assert ample[1] == pytest.approx(1.0)
 
@@ -320,24 +320,24 @@ class TestEW:
 class TestBB:
     def test_browsing_pinned_to_bitrate(self):
         pool = _pool(viewed=[5, 50, 80])
-        rates = bb_rates(pool, C=4.0, bitrate=1.0, browse_slots=BROWSE_SLOTS)
+        rates = bb_rates(pool, C=4.0, browse_slots=BROWSE_SLOTS)
         np.testing.assert_allclose(rates, [1.0, 1.5, 1.5])
 
     def test_fallback_when_viewers_starved(self):
         pool = _pool(viewed=[5, 50, 80])
-        rates = bb_rates(pool, C=2.5, bitrate=1.0, browse_slots=BROWSE_SLOTS)
+        rates = bb_rates(pool, C=2.5, browse_slots=BROWSE_SLOTS)
         np.testing.assert_allclose(rates, [2.5 / 3] * 3)
         assert np.array_equal(rates, be_rates(pool, C=2.5))
 
     def test_no_browsing_users_equals_be(self):
         pool = _pool(viewed=[50, 80], buffers=[1.0, 2.0])
-        rates = bb_rates(pool, C=1.7, bitrate=1.0, browse_slots=BROWSE_SLOTS)
+        rates = bb_rates(pool, C=1.7, browse_slots=BROWSE_SLOTS)
         assert np.array_equal(rates, be_rates(pool, C=1.7))
 
     def test_startup_user_not_browsing(self):
         # A startup user below the boundary is pooled with viewers, not pinned.
         pool = _pool(viewed=[0, 50], in_startup=True)
-        rates = bb_rates(pool, C=4.0, bitrate=1.0, browse_slots=BROWSE_SLOTS)
+        rates = bb_rates(pool, C=4.0, browse_slots=BROWSE_SLOTS)
         assert np.array_equal(rates, be_rates(pool, C=4.0))
 
     @pytest.mark.parametrize("length", [50, 60, 300])
@@ -346,25 +346,25 @@ class TestBB:
         # is below the browsing phase's share browse_slots / L, for every
         # slot count and every browse length in [0, L - 1]: a model with all
         # its mass on bin k browses k + 1 slots, or none when k is the last.
-        # At unlimited capacity a pinned session gets the bitrate and any
-        # other its whole cap of 2.
+        # At unlimited capacity a pinned session gets one second of video
+        # and any other its whole cap of 2.
         viewed = np.arange(length + 1, dtype=float)
         pool = _pool(viewed=viewed)
         lengths = set()
         for k in range(length):
             model = DepartureModel(np.eye(length)[k])
-            rates = make_allocator("bb", 1.0, model)(pool, math.inf)
+            rates = make_allocator("bb", model)(pool, math.inf)
             assert np.array_equal(rates == 1.0, viewed / length < model.browse_slots / length), k
             lengths.add(model.browse_slots)
         assert lengths == set(range(length))
 
 
-def _bb_parent(pool, C, bitrate, browse_slots):
+def _bb_parent(pool, C, browse_slots):
     """bb without its fit check: the reference while capacity binds."""
     browsing = (~pool.in_startup) & (pool.viewed < browse_slots)
     if not browsing.any():
         return be_rates(pool, C)
-    d_browse = np.minimum(pool.cap[browsing], bitrate)
+    d_browse = np.minimum(pool.cap[browsing], 1.0)
     reserved = float(d_browse.sum())
     if reserved > C:
         d_browse = d_browse * (C / reserved)
@@ -394,7 +394,6 @@ _contract_pools = st.integers(min_value=1, max_value=12).flatmap(
         st.one_of(st.just(0.0), _weights),
     )))
 )
-_bitrates = st.one_of(st.just(1.0), st.floats(min_value=0.1, max_value=4.0))
 
 
 def _contract_case(case):
@@ -404,37 +403,37 @@ def _contract_case(case):
     return pool, np.array(hazard)
 
 
-def _demand(name, pool, bitrate):
+def _demand(name, pool):
     """What eb, ew and bb return when every demand fits: eb and ew give each
-    session its cap, taken through seconds (`cap / bitrate * bitrate`); bb
-    gives a browsing session min(cap, bitrate) and any other its cap."""
+    session its cap; bb gives a browsing session min(cap, 1) and any other
+    its cap."""
     if name == "bb":
         browsing = ~pool.in_startup & (pool.viewed < BROWSE_SLOTS)
-        return np.where(browsing, np.minimum(pool.cap, bitrate), pool.cap)
-    return pool.cap / bitrate * bitrate
+        return np.where(browsing, np.minimum(pool.cap, 1.0), pool.cap)
+    return pool.cap
 
 
-def _rates(name, pool, C, bitrate, hazard):
+def _rates(name, pool, C, hazard):
     if name == "eb":
-        return eb_rates(pool, C, bitrate)
+        return eb_rates(pool, C)
     if name == "ew":
-        return ew_rates(pool, C, bitrate, hazard)
-    return bb_rates(pool, C, bitrate, BROWSE_SLOTS)
+        return ew_rates(pool, C, hazard)
+    return bb_rates(pool, C, BROWSE_SLOTS)
 
 
 class TestFitContract:
     """eb, ew and bb return their demand whenever it fits in C."""
 
     @pytest.mark.parametrize("name", ["eb", "ew", "bb"])
-    @given(_contract_pools, _bitrates,
+    @given(_contract_pools,
            st.one_of(st.sampled_from([1.0, 2.0, math.inf]),
                      st.floats(min_value=1.0, max_value=3.0)))
     @settings(max_examples=200, deadline=None)
-    def test_fitting_demand_is_returned(self, name, case, bitrate, factor):
+    def test_fitting_demand_is_returned(self, name, case, factor):
         pool, hazard = _contract_case(case)
-        demand = _demand(name, pool, bitrate)
+        demand = _demand(name, pool)
         C = float(demand.sum()) * (1 + 1e-9) * factor
-        assert _rates(name, pool, C, bitrate, hazard).tobytes() == demand.tobytes()
+        assert _rates(name, pool, C, hazard).tobytes() == demand.tobytes()
 
     @pytest.mark.parametrize("name", ["eb", "ew", "bb"])
     @given(_contract_pools)
@@ -447,7 +446,7 @@ class TestFitContract:
         # returns every demand once theirs fits, summed in their own order
         # and in the pool's.
         pool, hazard = _contract_case(case)
-        demand = _demand(name, pool, 1.0)
+        demand = _demand(name, pool)
         total = float(demand.sum())
         pos = hazard > 0
         exact = name != "ew" or (np.add.reduce(demand[pos]) <= total
@@ -455,7 +454,7 @@ class TestFitContract:
         for C in (np.nextafter(total, -math.inf), total, np.nextafter(total, math.inf)):
             if C < 0.0:
                 continue
-            rates = _rates(name, pool, float(C), 1.0, hazard)
+            rates = _rates(name, pool, float(C), hazard)
             assert np.all(rates >= 0.0)
             assert np.all(rates <= pool.cap)
             if name == "bb":
@@ -466,36 +465,36 @@ class TestFitContract:
                 assert rates.tobytes() == demand.tobytes()
 
     @pytest.mark.parametrize("name", ["eb", "ew"])
-    @given(_contract_pools, st.one_of(st.sampled_from([1.0, 2.5]),
-                                      st.floats(min_value=0.1, max_value=4.0)), _shares)
+    @given(_contract_pools, _shares)
     # One session with floor 1 and cap 0.5 at C one ulp below 0.5, where a
     # fill that rounds x = level - floor up to the cap spends 0.5.
-    @example(case=([1.0], [0.5], [50.0], [False], [False], [0.1]), bitrate=1.0,
+    @example(case=([1.0], [0.5], [50.0], [False], [False], [0.1]),
              share=0.49999999999999994 / 0.5)
     @settings(max_examples=300, deadline=None)
-    def test_capacity_is_exact(self, name, case, bitrate, share):
-        # The rates sum to at most C in numpy's order, exactly, and to the
-        # same value in any order once capacity binds.
+    def test_capacity_is_exact(self, name, case, share):
+        # The rates stay within their caps and sum to at most C in numpy's
+        # order, exactly, and to the same value in any order once capacity
+        # binds.
         pool, hazard = _contract_case(case)
         C = _budget(share, pool.cap)
-        rates = _rates(name, pool, C, bitrate, hazard)
+        rates = _rates(name, pool, C, hazard)
         assert np.add.reduce(rates) <= C
-        assert np.all(rates <= pool.cap / bitrate * bitrate)
-        if C < np.add.reduce(pool.cap / bitrate * bitrate):
+        assert np.all(rates <= pool.cap)
+        if C < np.add.reduce(pool.cap):
             assert np.add.reduce(rates) == math.fsum(rates) == np.add.reduce(rates[::-1])
 
-    @given(_contract_pools, _bitrates, st.floats(min_value=0.0, max_value=1.0))
+    @given(_contract_pools, st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=400, deadline=None)
-    def test_bb_binding_paths_unchanged(self, case, bitrate, share):
+    def test_bb_binding_paths_unchanged(self, case, share):
         # Below the total demand bb keeps its reservation, its equal
         # scale-down when the reservations alone exceed C, and its be
         # fallback, bit for bit.
         pool, _ = _contract_case(case)
-        total = float(_demand("bb", pool, bitrate).sum())
+        total = float(_demand("bb", pool).sum())
         C = share * total
         assume(C < total)
-        rates = bb_rates(pool, C, bitrate, BROWSE_SLOTS)
-        assert rates.tobytes() == _bb_parent(pool, C, bitrate, BROWSE_SLOTS).tobytes()
+        rates = bb_rates(pool, C, BROWSE_SLOTS)
+        assert rates.tobytes() == _bb_parent(pool, C, BROWSE_SLOTS).tobytes()
 
 
 users_strategy = st.integers(min_value=1, max_value=6).flatmap(
@@ -522,12 +521,12 @@ def _hazard(pool):
 
 
 def _all_allocations(pool, C):
-    yield sc_rates(pool, C, bitrate=1.0), "sc"
-    yield sc_rates(pool, C, bitrate=1.0, delta=0.05), "sc+"
+    yield sc_rates(pool, C), "sc"
+    yield sc_rates(pool, C, delta=0.05), "sc+"
     yield be_rates(pool, C), "be"
-    yield eb_rates(pool, C, bitrate=1.0), "eb"
-    yield ew_rates(pool, C, bitrate=1.0, hazard=_hazard(pool)), "ew"
-    yield bb_rates(pool, C, bitrate=1.0, browse_slots=BROWSE_SLOTS), "bb"
+    yield eb_rates(pool, C), "eb"
+    yield ew_rates(pool, C, hazard=_hazard(pool)), "ew"
+    yield bb_rates(pool, C, browse_slots=BROWSE_SLOTS), "bb"
 
 
 class TestAllocatorProperties:
@@ -553,17 +552,17 @@ class TestAllocatorProperties:
             return
         conserving = [
             ("be", be_rates(pool, C)),
-            ("eb", eb_rates(pool, C, bitrate=1.0)),
-            ("ew", ew_rates(pool, C, bitrate=1.0, hazard=_hazard(pool))),
+            ("eb", eb_rates(pool, C)),
+            ("ew", ew_rates(pool, C, hazard=_hazard(pool))),
         ]
-        # BB deliberately pins browsing users to the bitrate, so it conserves
+        # BB deliberately pins browsing users to 1 s/slot, so it conserves
         # work only when the non-browsing pool can absorb the residual.
         browsing = ~pool.in_startup & (pool.viewed < BROWSE_SLOTS)
         browsing_demand = np.minimum(demand, 1.0)[browsing].sum()
         other_demand = demand[~browsing].sum()
         if browsing_demand + other_demand >= C:
             conserving.append(
-                ("bb", bb_rates(pool, C, bitrate=1.0, browse_slots=BROWSE_SLOTS))
+                ("bb", bb_rates(pool, C, browse_slots=BROWSE_SLOTS))
             )
         for name, rates in conserving:
             assert rates.sum() == pytest.approx(C, abs=1e-9), name
@@ -608,7 +607,7 @@ class TestGridOracles:
                 (buffers + r - 1.0).min()
                 for r in _grid_allocations(caps, C, self.GRID)
             )
-            rates = eb_rates(pool, C, bitrate=1.0)
+            rates = eb_rates(pool, C)
             got = (buffers + rates - 1.0).min()
             assert got >= best_min - self.GRID - 1e-9
 
@@ -625,7 +624,7 @@ class TestGridOracles:
                 if abs(r.sum() - target) <= 1e-9
             ]
             best_max = min((f_vals * (buffers + r - 1.0)).max() for r in full)
-            rates = ew_rates(pool, C, bitrate=1.0, hazard=f_vals)
+            rates = ew_rates(pool, C, hazard=f_vals)
             got = (f_vals * (buffers + rates - 1.0)).max()
             assert got <= best_max + self.GRID * f_vals.max() + 1e-9
 
@@ -636,7 +635,7 @@ class TestFactory:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            make_allocator("zz", bitrate=1.0, model=DepartureModel.synthetic(L=L))
+            make_allocator("zz", model=DepartureModel.synthetic(L=L))
 
     # The engine reuses the pool's arrays as scratch once the rates are back,
     # so no allocator may return a view of them.
@@ -650,7 +649,7 @@ class TestFactory:
                      in_startup=[False, False, True])
         model = DepartureModel.synthetic(L=L)
         assert model.browse_slots == BROWSE_SLOTS
-        rates = make_allocator(name, bitrate=1.0, model=model)(pool, C)
+        rates = make_allocator(name, model=model)(pool, C)
         if case == "fitting":
             assert rates.sum() < C
         else:

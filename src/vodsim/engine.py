@@ -24,13 +24,21 @@ Columns [0, n) are the n active sessions, oldest arrival first.  Admission
 writes the columns after them; playback and freeze updates are whole-row
 arithmetic over the first n columns, and a slot in which no session is
 frozen or freezes skips the freeze updates, which would change nothing.
+`step` binds only the five rows every slot reads (buffer, state,
+downloaded, playback and target) and indexes skipped, freeze_count and
+freeze_time in the branches that update them.
 The slot loop counts content seconds: `World` divides the access cap and
 the capacity by the bitrate once, and the bitrate multiplies back in only
 where bandwidth is written out, in `bw_used` and each departure's waste.
+In freeze mode a playing session consumes a second when
+`buffer - 1.0 > freeze_trigger`.  `b - 1.0` rounds monotonically in b, so
+that holds exactly when `buffer > c*`, where c* is the largest double b with
+`b - 1.0 <= freeze_trigger`; `World` finds c* once and each slot makes the
+one comparison.
 No allocator's result shares memory with the pool it was given, and none
 keeps the pool, so once the allocator returns `step` reuses the pool's `cap`
-row as scratch (for buffer - 1.0 and the 0.0/1.0 consumed step) and writes
-the departure test into the startup and playing masks.
+row as scratch (for the 0.0/1.0 consumed step) and writes the departure test
+into the startup and playing masks.
 One scan of that test finds the departing columns.  After the log append,
 a departure copies the survivors into a spare slab of the same shape, the
 prefix before the first gap and then each run of survivors, one slice per
@@ -62,10 +70,11 @@ from .strategy import PoolState, make_allocator
 # loop applies it by adding or subtracting the transition's mask.
 STARTUP, PLAYING, FROZEN = 0, 1, 2
 
-# Rows of the session slab, in order.
+# Rows of the session slab, in order, and their indices.
 SLAB_ROWS = ("buffer", "state", "skipped", "downloaded", "arrival", "freeze_count",
              "freeze_time", "playback", "target")
-SKIPPED, ARRIVAL, TARGET = (SLAB_ROWS.index(r) for r in ("skipped", "arrival", "target"))
+(BUFFER, STATE, SKIPPED, DOWNLOADED, ARRIVAL, FREEZE_COUNT, FREEZE_TIME, PLAYBACK,
+ TARGET) = range(len(SLAB_ROWS))
 
 # Departure targets are drawn at least this many sessions at a time.
 TARGET_CHUNK = 4096
@@ -160,7 +169,7 @@ class World:
         self._bitrate = config.bitrate
         self._startup_threshold = config.startup_threshold
         self._rebuffer_threshold = config.rebuffer_threshold
-        self._freeze_trigger = config.freeze_trigger
+        self._consume_above = _consume_threshold(config.freeze_trigger)
         # Departure targets drawn ahead; the next session takes
         # _targets[_next_target].
         self._targets = np.zeros(0)
@@ -216,8 +225,9 @@ class World:
         n = self._n
         bw_used = bw_wasted = consumed = n_playing = departures = 0
         if n:
-            (buffer, state, skipped, downloaded, _, freeze_count, freeze_time,
-             playback, target) = self._slab[:, :n]
+            rows = self._slab[:, :n]
+            buffer, state, downloaded = rows[BUFFER], rows[STATE], rows[DOWNLOADED]
+            playback, target = rows[PLAYBACK], rows[TARGET]
             in_startup = state == STARTUP
             # Sessions playing at the start of the slot are the ones that try
             # to consume: those leaving startup or a freeze resume next slot.
@@ -241,7 +251,7 @@ class World:
                 take = np.minimum(buffer[playing], 1.0)
                 buffer[playing] -= take
                 playback += playing
-                skipped[playing] += 1.0 - take
+                rows[SKIPPED][playing] += 1.0 - take
                 consumed = take.sum()
             else:
                 # In a slot where no session is frozen or freezes, the freeze
@@ -251,7 +261,7 @@ class World:
                 if n_frozen:
                     exits = (state == FROZEN) & (buffer >= self._rebuffer_threshold)
                     state -= exits  # FROZEN -> PLAYING
-                consume = playing & (np.subtract(buffer, 1.0, out=scratch) > self._freeze_trigger)
+                consume = playing & (buffer > self._consume_above)
                 scratch[:] = consume  # the step as 0.0/1.0, cast once for both rows
                 buffer -= scratch
                 playback += scratch
@@ -259,9 +269,9 @@ class World:
                 if n_consumed < n_playing:
                     to_freeze = playing ^ consume
                     state += to_freeze  # PLAYING -> FROZEN
-                    freeze_count += to_freeze
+                    rows[FREEZE_COUNT] += to_freeze
                 if n_frozen or n_consumed < n_playing:
-                    freeze_time += state == FROZEN
+                    rows[FREEZE_TIME] += state == FROZEN
 
             departing = np.greater_equal(playback, target, out=in_startup)
             departing |= np.greater_equal(downloaded, self._complete_at, out=playing)
@@ -298,6 +308,18 @@ class World:
         self._n = _compact(self._slab, self._spare, self._n, gone)
         self._slab, self._spare = self._spare, self._slab
         return float(np.add.reduce(waste))
+
+
+def _consume_threshold(freeze_trigger: float) -> float:
+    """c*, the largest double b with `b - 1.0 <= freeze_trigger` in float
+    arithmetic, for a finite `freeze_trigger`: `buffer - 1.0 >
+    freeze_trigger` holds exactly when `buffer > c*`."""
+    b = freeze_trigger + 1.0
+    while b - 1.0 > freeze_trigger:
+        b = math.nextafter(b, -math.inf)
+    while math.nextafter(b, math.inf) - 1.0 <= freeze_trigger:
+        b = math.nextafter(b, math.inf)
+    return b
 
 
 def _compact(src: np.ndarray, dst: np.ndarray, n: int, gone: np.ndarray) -> int:
@@ -382,22 +404,22 @@ def planning_viewing_ratio(
     mean_viewing_ratio: float,
     video_length: int,
     startup_threshold: float = 2.0,
-    bitrate: float = 1.0,
 ) -> float:
     """Viewing-ratio estimate used when converting offered load to an
     arrival rate.
 
-    A session downloads its viewed seconds plus the startup prefetch, so the
-    per-session volume is mean_viewing_ratio * L * bitrate + startup bytes.
+    A session downloads its viewed seconds plus the startup prefetch, so its
+    download is mean_viewing_ratio * L + startup_threshold content seconds,
+    the same share of the video at any bitrate.
     Sizing the arrival rate with the raw mean viewing ratio therefore leaves
     the server slightly oversubscribed at any nominal load, and near rho = 1
     the active population random-walks instead of settling.  Rounding the
     per-session download ratio up to the planning precision keeps every
     nominal load < 1 strictly subcritical.
     """
-    if video_length <= 0 or bitrate <= 0:
-        raise ValueError("video_length and bitrate must be positive")
-    download_ratio = mean_viewing_ratio + startup_threshold / (video_length * bitrate)
+    if video_length <= 0:
+        raise ValueError("video_length must be positive")
+    download_ratio = mean_viewing_ratio + startup_threshold / video_length
     return math.ceil(download_ratio / PLANNING_PRECISION) * PLANNING_PRECISION
 
 
@@ -407,10 +429,7 @@ def poisson_arrival_rate(rho: float, config: SimConfig, model: DepartureModel) -
     ratio."""
     config.validate()
     estimate = planning_viewing_ratio(
-        model.mean_viewing_ratio,
-        config.video_length,
-        config.startup_threshold,
-        config.bitrate,
+        model.mean_viewing_ratio, config.video_length, config.startup_threshold
     )
     return load_to_arrival_rate(
         rho, config.server_capacity, config.video_length, config.bitrate, estimate

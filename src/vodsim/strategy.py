@@ -211,8 +211,8 @@ def _buffer_fill(
     what is left at unit weight once every other user has its cap.
     """
     caps = pool.cap
-    pos = None if weights is None else weights > 0
-    if pos is None or pos.all():
+    # All weights positive (and none NaN); `initial` answers True for no users.
+    if weights is None or np.minimum.reduce(weights, initial=math.inf) > 0:
         # `_level_fill`'s own fit test, made before the floors and weights.
         if C >= np.add.reduce(caps):
             return caps.copy(), math.inf
@@ -220,6 +220,7 @@ def _buffer_fill(
             weights = weights / weights.max()  # scale-invariant; constant weights become 1.0
         return _binding_fill(pool.buffer - pool.playing, weights, caps, C, guess)
     floors = pool.buffer - pool.playing
+    pos = weights > 0
     if pos.any() and (C < np.add.reduce(caps[pos])
                       or C < np.add.reduce(np.where(pos, caps, 0.0))):
         # The positive-weight users' caps overspend C in their order or the pool's.

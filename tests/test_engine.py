@@ -58,10 +58,22 @@ class TestPoissonArrivalRate:
     def test_equals_the_two_step_chain(self, rho, cfg):
         model = behavior.DepartureModel.synthetic(L=cfg.video_length)
         estimate = planning_viewing_ratio(model.mean_viewing_ratio, cfg.video_length,
-                                          cfg.startup_threshold, cfg.bitrate)
+                                          cfg.startup_threshold)
         expected = load_to_arrival_rate(rho, cfg.server_capacity, cfg.video_length,
                                         cfg.bitrate, estimate)
         assert engine.poisson_arrival_rate(rho, cfg, model) == expected
+
+    @pytest.mark.parametrize("bitrate", [0.3, 1.0, 2.5])
+    def test_startup_share_is_the_same_at_any_bitrate(self, bitrate):
+        # The startup prefetch is startup_threshold content seconds, 4/120 of
+        # the video whatever the bitrate: 0.4985 + 0.0333 rounds up to 0.54.
+        model = behavior.DepartureModel.synthetic(L=120)
+        estimate = planning_viewing_ratio(model.mean_viewing_ratio, 120, 4.0)
+        assert estimate == pytest.approx(0.54)
+        cfg = SimConfig(bitrate=bitrate, server_capacity=300.0, video_length=120,
+                        startup_threshold=4.0)
+        expected = load_to_arrival_rate(1.2, 300.0, 120, bitrate, estimate)
+        assert engine.poisson_arrival_rate(1.2, cfg, model) == expected
 
     def test_validates_the_config_first(self):
         cfg = SimConfig(bitrate=math.nan)
@@ -134,6 +146,19 @@ class TestSlotLoop:
         assert report.percent_user == 0.0
         assert report.avg_n_freeze == 0.0
         assert report.freeze_ratio == 0.0
+
+
+class TestConsumeThreshold:
+    """Freeze mode consumes while `buffer > c*`, which must agree with
+    `buffer - 1.0 > freeze_trigger` on every double."""
+
+    @pytest.mark.parametrize("trigger", [0.0, 0.1, 0.5, 2.0, 5e-324])
+    def test_one_comparison_is_the_subtraction_test(self, trigger):
+        c = engine._consume_threshold(trigger)
+        near = [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+        assert [b - 1.0 > trigger for b in near] == [False, False, True]
+        buffers = np.concatenate((near, np.random.default_rng(0).uniform(0.0, 4.0, 10**4)))
+        assert np.array_equal(buffers > c, buffers - 1.0 > trigger)
 
 
 class TestAccounting:
@@ -319,15 +344,98 @@ class TestSlotTable:
         assert path.read_text() == engine.LEDGER_HEADER + "\n"
 
 
+def _reference_session(cfg, name, model, target):
+    """One session at unlimited capacity, as a plain loop over its slots
+    that shares no code with the slab.  No budget binds, so no session
+    affects another: sc and sc+ take the access cap in startup and then
+    1 + delta seconds per slot, bb one second per slot while browsing, and
+    every other slot takes the access cap.  Returns the session's rate in
+    each of its slots (content seconds) and its logged (freeze_count,
+    freeze_time, play_time, waste)."""
+    access = cfg.access_cap / cfg.bitrate
+    buffer = downloaded = skipped = 0.0
+    state, playback, freeze_count, freeze_time = engine.STARTUP, 0, 0, 0
+    rates = []
+    while True:
+        cap = min(cfg.video_length - downloaded, access)
+        if state == engine.STARTUP or name in ("be", "eb", "ew"):
+            rate = cap
+        elif name in ("sc", "sc+"):
+            rate = min(cap, 1.05 if name == "sc+" else 1.0)
+        else:  # bb
+            rate = min(cap, 1.0) if playback < model.browse_slots else cap
+        rates.append(rate)
+        buffer += rate
+        downloaded += rate
+        was_playing = state == engine.PLAYING
+        if state == engine.STARTUP and buffer >= cfg.startup_threshold:
+            state = engine.PLAYING
+        if cfg.playback_model == "skip":
+            if was_playing:
+                take = min(buffer, 1.0)
+                buffer -= take
+                skipped += 1.0 - take
+                playback += 1
+        else:
+            if state == engine.FROZEN and buffer >= cfg.rebuffer_threshold:
+                state = engine.PLAYING
+            if was_playing and buffer - 1.0 > cfg.freeze_trigger:
+                buffer -= 1.0
+                playback += 1
+            elif was_playing:
+                state = engine.FROZEN
+                freeze_count += 1
+            freeze_time += state == engine.FROZEN
+        if playback >= target or downloaded >= cfg.video_length - 1e-9:
+            if cfg.playback_model == "skip":
+                viewed = playback - skipped
+            else:
+                viewed = max(playback, target)
+            waste = max(downloaded - viewed, 0.0) * cfg.bitrate
+            return rates, (freeze_count, freeze_time, playback, waste)
+
+
 class TestUnlimitedCapacity:
+    @staticmethod
+    def _setup(mode):
+        cfg = SimConfig(server_capacity=math.inf, video_length=60, playback_model=mode,
+                        duration=600, warmup=0, seed=5)
+        counts = arrivals.diurnal_trace(600, 0.5, 6.0, np.random.default_rng(5))
+        return cfg, counts, behavior.DepartureModel.synthetic(L=60)
+
+    @pytest.mark.parametrize("mode", ["freeze", "skip"])
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_matches_the_scalar_reference(self, name, mode):
+        cfg, counts, model = self._setup(mode)
+        result = engine.run(cfg, name, arrivals.ArrivalProcess.trace(counts), model)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+        targets = model.sample_slots(rng.random(int(counts.sum())))
+        arrival = np.repeat(np.arange(cfg.duration), counts)
+        active, bw_used, logged = np.zeros(cfg.duration), np.zeros(cfg.duration), []
+        for i, (a, target) in enumerate(zip(arrival.tolist(), targets.tolist())):
+            rates, row = _reference_session(cfg, name, model, target)
+            # Sessions are logged in departure order, same-slot departures
+            # in arrival order; ones still active at the end are not.
+            last = a + len(rates) - 1
+            if last < cfg.duration:
+                logged.append((last, i, a, *row))
+            rates = rates[: cfg.duration - a]
+            active[a : a + len(rates)] += 1
+            bw_used[a : a + len(rates)] += np.multiply(rates, cfg.bitrate)
+        want = np.array(sorted(logged))[:, 2:].T
+        got = result.sessions.columns
+        assert got.shape == want.shape and got.shape[1] > 500
+        assert np.array_equal(got[:4], want[:4])  # arrival, freezes, play_time
+        assert want[4].sum() > 0
+        np.testing.assert_allclose(got[4], want[4], rtol=1e-12, atol=0)
+        assert np.array_equal(result.ledgers.active, active)
+        np.testing.assert_allclose(result.ledgers.bw_used, bw_used, rtol=1e-9, atol=0)
+
     @pytest.mark.parametrize("mode", ["freeze", "skip"])
     def test_be_eb_ew_are_one_simulation(self, mode):
         # With no binding budget, be, eb and ew all serve every session its
         # cap, so their slot tables and session logs agree bit for bit.
-        cfg = SimConfig(server_capacity=math.inf, video_length=60, playback_model=mode,
-                        duration=600, warmup=0, seed=5)
-        counts = arrivals.diurnal_trace(600, 0.5, 6.0, np.random.default_rng(5))
-        model = behavior.DepartureModel.synthetic(L=60)
+        cfg, counts, model = self._setup(mode)
         results = [engine.run(cfg, name, arrivals.ArrivalProcess.trace(counts), model)
                    for name in ("be", "eb", "ew")]
         be = results[0]

@@ -304,6 +304,12 @@ class TestEW:
         rates = ew_rates(_pool(caps=[2.0]), C=10.0, hazard=np.array([0.5]))
         assert rates.tolist() == [2.0]
 
+    @pytest.mark.parametrize("C", [0.0, 5.0])
+    def test_empty_pool(self, C):
+        empty = np.zeros(0)
+        pool = PoolState(empty, empty, empty, empty > 0, empty > 0)
+        assert ew_rates(pool, C, hazard=empty).shape == (0,)
+
     def test_zero_hazard_users_filled_last(self):
         pool = _pool(buffers=[0.0, 0.0], caps=[2.0, 2.0])
         hazard = np.array([0.2, 0.0])

@@ -52,6 +52,20 @@ the fields SLOT_FIELDS that grows geometrically like the session log.  Every
 field is float64, as in the slab: the counts stay exact, a row is written
 with one tuple assignment, and the counts a row hands out are floats, which
 `json.dumps` takes as they are.
+
+`World` is the engine at finite capacity and the reference at unlimited
+capacity, where `run` steps no `World` over the arrivals.  Two premises hold
+there: no budget binds, so every allocator gives each session what its own
+state asks for and a session's trajectory depends on its departure target
+alone; and the targets are drawn independently of the arrivals.  So `run`
+steps two small `World`s on the run's config, one holding a single session
+with target L and one holding a session per target 1..L, and builds the
+slot table and session log from them with interval counts (`_run_unlimited`).
+Every lifecycle rule is the slot loop's own.  The integer columns,
+`bw_wasted`, freeze mode's `consumed` and every session-log column equal the
+slot loop's bit for bit.  `bw_used` and skip mode's `consumed` sum over the
+pool in another order and may differ from it in the last bits, within
+1e-12 relative.
 """
 
 from __future__ import annotations
@@ -221,6 +235,9 @@ class World:
         """Advance one slot: arrivals, allocation, download, playback,
         departures.  Returns the slot's row of the slot table."""
         if n_arrivals:
+            if not isinstance(n_arrivals, (int, np.integer)) or n_arrivals < 0:
+                raise ValueError(
+                    f"arrival count must be a nonnegative integer, got {n_arrivals!r}")
             self._admit(n_arrivals)
         n = self._n
         bw_used = bw_wasted = consumed = n_playing = departures = 0
@@ -361,23 +378,137 @@ def run(
     Sessions report QoE at departure; sessions still alive at the end are
     excluded, as are sessions arriving (and slots falling) inside the warmup
     window.  Identical inputs and seed give identical outputs.
+
+    At finite capacity a `World` steps through the slots.  At unlimited
+    capacity no budget binds, so a session's trajectory depends on its
+    departure target alone, and the targets do not depend on the arrivals:
+    the slot table and session log are built from per-target profiles
+    (`_run_unlimited`).  They equal the slot loop's bit for bit, except
+    `bw_used` and skip mode's `consumed`, sums over the pool in another
+    order, which agree to 1e-12 relative.
     """
     config.validate()
     arr_seq = np.random.SeedSequence(config.seed).spawn(2)[0]
     counts = arrival_process.generate(config.duration, np.random.default_rng(arr_seq))
-    world = World(config, strategy, model)
-    for c in counts:
-        world.step(int(c))
     w = config.warmup_slots
-    sessions = world.sessions.select(world.sessions.columns[0] >= w)
-    report = aggregate(sessions, world.ledgers.bw_used[w:])
+    if math.isinf(config.server_capacity):
+        ledgers, sessions = _run_unlimited(config, strategy, model, counts)
+    else:
+        world = World(config, strategy, model)
+        for c in counts:
+            world.step(int(c))
+        ledgers = world.ledgers
+        sessions = world.sessions.select(world.sessions.columns[0] >= w)
+    report = aggregate(sessions, ledgers.bw_used[w:])
     return RunResult(
         strategy=strategy,
         config=config,
         report=report,
-        ledgers=world.ledgers,
+        ledgers=ledgers,
         sessions=sessions,
     )
+
+
+def _profile(config: SimConfig, strategy: str, model: DepartureModel, targets) -> World:
+    """A `World` whose sessions take `targets`, in order, all admitted in
+    slot 0, stepped until every one has departed or `config.duration` slots
+    have passed."""
+    world = World(config, strategy, model)
+    world._targets = np.asarray(targets, dtype=float)
+    k = world._targets.size
+    while world.slot < config.duration and (k or world.active_count):
+        world.step(k)
+        k = 0
+    return world
+
+
+def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
+                   counts: np.ndarray) -> tuple[np.recarray, SessionLog]:
+    """`run`'s slot table and warmup-filtered session log at unlimited
+    capacity, built from two profile `World`s.
+
+    No budget binds, so every session with target k follows the trajectory
+    of a session with target L until it departs, d_k slots after its
+    arrival.  `one` holds a single session with target L: its slot table
+    gives one session's `bw_used`, `playing` and `consumed` at each offset
+    from arrival.  `each` holds one session per target 1..L: d_k is
+    nondecreasing in k, so its log holds the targets in order, each with its
+    departure slot and logged row.  The run's columns are interval counts
+    over the runs of offsets where `one`'s three columns stay constant.
+    """
+    T, L, w = config.duration, config.video_length, config.warmup_slots
+    one = _profile(config, strategy, model, [L])
+    each = _profile(config, strategy, model, np.arange(1, L + 1))
+    # `one`'s departure draws are unused: they are the run's own substream.
+    target = model.sample_slots(one._dep_rng.random(int(counts.sum())))
+    logged = each.sessions.columns
+    # d_k, or T for a target still active after T slots.
+    offset = np.full(L, T, dtype=np.intp)
+    offset[: logged.shape[1]] = np.repeat(np.arange(each.slot),
+                                          each.ledgers.departures.astype(np.intp))
+    last = offset[target - 1]  # each session's last slot, counted from its arrival
+    arrival = np.repeat(np.arange(T), counts)
+    departure = arrival + last
+    gone = np.flatnonzero(departure < T)
+    departures = np.bincount(departure[gone], minlength=T)
+
+    # Runs [start, end) of offsets over which `one`'s bw_used, playing and
+    # consumed stay constant: offset 0 starts one, as does each offset whose
+    # values differ from the offset before.
+    prof = one.ledgers
+    values = np.stack((prof.bw_used, prof.playing, prof.consumed))
+    changed = (values[:, 1:] != values[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(np.concatenate(([one.slot > 0], changed))).tolist()
+    bw_used, playing, consumed = np.zeros((3, T))
+    for start, end, (bw, play, take) in zip(starts, starts[1:] + [one.slot], values.T[starts]):
+        n = _in_run(arrival, last, start, end, T)
+        bw_used += bw * n
+        playing += play * n
+        consumed += take * n
+    del last
+
+    # Departure order: by slot, same-slot departures in admission order.
+    order = gone[np.argsort(departure[gone], kind="stable")]
+    del gone, departure
+    # Each slot's waste is summed as `_depart` sums it, by one
+    # `np.add.reduce` in admission order.  `reduceat` adds from left to
+    # right, which gives the same bits for one or two terms only.
+    waste = logged[-1][target[order] - 1]
+    first = np.cumsum(departures) - departures  # each slot's first entry in `waste`
+    bw_wasted = np.zeros(T)
+    some = np.flatnonzero(departures)
+    if some.size:
+        bw_wasted[some] = np.add.reduceat(waste, first[some])
+    for t in np.flatnonzero(departures > 2).tolist():
+        bw_wasted[t] = np.add.reduce(waste[first[t] : first[t] + departures[t]])
+    del waste, first, some
+
+    order = order[arrival[order] >= w]
+    sessions = logged[:, target[order] - 1]
+    sessions[0] = arrival[order]
+
+    table = np.zeros(T, SLOT_DTYPE)
+    table["slot"] = np.arange(T)
+    table["arrivals"] = counts
+    table["active"] = np.cumsum(counts) - np.cumsum(departures) + departures
+    table["bw_used"] = bw_used
+    table["bw_wasted"] = bw_wasted
+    table["departures"] = departures
+    table["playing"] = playing
+    table["consumed"] = consumed
+    return table.view(np.recarray), SessionLog(sessions)
+
+
+def _in_run(arrival: np.ndarray, last: np.ndarray, start: int, end: int, T: int) -> np.ndarray:
+    """For each of T slots, how many sessions are at an offset in [start,
+    end) from their arrival slot `arrival` and at most `last` slots after
+    it."""
+    there = last >= start
+    a = arrival[there]
+    edges = np.bincount(np.minimum(a + start, T), minlength=T + 1)
+    a += np.minimum(last[there], end - 1) + 1
+    edges -= np.bincount(np.minimum(a, T), minlength=T + 1)
+    return np.cumsum(edges[:T])
 
 
 def load_to_arrival_rate(

@@ -1,5 +1,6 @@
 """Slot-loop, load-conversion, and determinism tests for the simulator."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -135,6 +136,15 @@ class TestSlotLoop:
                             _no_departure_model())
         assert result.report.empty
         assert result.report.sessions_completed == 0
+
+    @pytest.mark.parametrize("count", [-1, 2.5])
+    def test_step_rejects_a_bad_arrival_count(self, count):
+        world = World(SimConfig(video_length=20), "be", _no_departure_model())
+        world.step(3)
+        with pytest.raises(ValueError, match=f"^arrival count must be a nonnegative integer, "
+                                             f"got {count}$"):
+            world.step(count)
+        assert world.slot == 1 and world.active_count == 3 and world._next_target == 3
 
     def test_overprovisioned_run_has_no_freezes(self):
         cfg = SimConfig(server_capacity=50.0, video_length=100, duration=2000, warmup=200)
@@ -434,15 +444,104 @@ class TestUnlimitedCapacity:
     @pytest.mark.parametrize("mode", ["freeze", "skip"])
     def test_be_eb_ew_are_one_simulation(self, mode):
         # With no binding budget, be, eb and ew all serve every session its
-        # cap, so their slot tables and session logs agree bit for bit.
+        # cap, so their slot tables and session logs agree bit for bit, both
+        # from `run` and from the slot loop.
         cfg, counts, model = self._setup(mode)
-        results = [engine.run(cfg, name, arrivals.ArrivalProcess.trace(counts), model)
-                   for name in ("be", "eb", "ew")]
-        be = results[0]
-        assert len(be.sessions) > 500 and be.ledgers.bw_wasted.sum() > 0
-        for other in results[1:]:
-            assert other.ledgers.tobytes() == be.ledgers.tobytes()
-            assert other.sessions.columns.tobytes() == be.sessions.columns.tobytes()
+        for simulate in (_run, _stepped):
+            results = [simulate(cfg, name, model, counts) for name in ("be", "eb", "ew")]
+            be_ledgers, be_log = results[0]
+            assert be_log.shape[1] > 500 and be_ledgers.bw_wasted.sum() > 0
+            for ledgers, log in results[1:]:
+                assert ledgers.tobytes() == be_ledgers.tobytes()
+                assert log.tobytes() == be_log.tobytes()
+
+    @pytest.mark.parametrize("mode", ["freeze", "skip"])
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_matches_the_slot_loop(self, name, mode):
+        counts = arrivals.diurnal_trace(120, 0.5, 4.0, np.random.default_rng(3))
+        configs = itertools.product([1.0, 0.3, 2.5], [60, 61], [2.0, 1.5, 3.7], [0.7, 2.0],
+                                    [2.0, 5.0], [0.0, 0.4])
+        for bitrate, L, access, startup, rebuffer, trigger in configs:
+            cfg = SimConfig(bitrate=bitrate, video_length=L, access_cap=access * bitrate,
+                            server_capacity=math.inf, startup_threshold=startup,
+                            rebuffer_threshold=rebuffer, freeze_trigger=trigger,
+                            playback_model=mode, duration=120, warmup=20, seed=L)
+            model = behavior.DepartureModel.synthetic(L=L)
+            _assert_matches_the_slot_loop(cfg, name, model, counts)
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    @pytest.mark.parametrize("case", ["no arrivals", "no slots", "shorter than a lifetime",
+                                      "one-slot video", "startup above the video length",
+                                      "warmup after the end"])
+    def test_edge_cases_match_the_slot_loop(self, name, case):
+        cfg = SimConfig(server_capacity=math.inf, video_length=30, duration=120, warmup=0,
+                        seed=9)
+        counts = arrivals.diurnal_trace(120, 0.5, 3.0, np.random.default_rng(9))
+        model = behavior.DepartureModel.synthetic(L=30)
+        if case == "no arrivals":
+            counts[:] = 0
+        elif case == "no slots":
+            cfg = replace(cfg, duration=0)
+        elif case == "shorter than a lifetime":
+            cfg, counts = replace(cfg, duration=12), counts[:12]
+        elif case == "one-slot video":
+            cfg = replace(cfg, video_length=1, startup_threshold=0.5, rebuffer_threshold=0.5)
+            model = behavior.DepartureModel([1.0])
+        elif case == "startup above the video length":
+            cfg = replace(cfg, startup_threshold=45.0, rebuffer_threshold=45.0)
+        else:
+            cfg = replace(cfg, warmup=200)
+        result = _assert_matches_the_slot_loop(cfg, name, model, counts)
+        ledgers, sessions = result.ledgers, result.sessions
+        if case in ("no arrivals", "no slots"):
+            assert not ledgers.active.any() and len(sessions) == 0 and result.report.empty
+        elif case == "shorter than a lifetime":
+            # Sessions still active at the end count in `active`, unlogged.
+            assert ledgers.active[-1] > 0
+            assert len(sessions) == ledgers.departures.sum() < counts.sum()
+        elif case == "one-slot video":
+            assert np.array_equal(ledgers.departures, counts)  # all leave in their first slot
+        elif case == "startup above the video length":
+            assert not ledgers.playing.any() and ledgers.departures.sum() > 0
+        else:
+            assert result.report.empty and ledgers.departures.sum() > 0
+
+
+def _run(cfg, name, model, counts):
+    """`run`'s slot table and session log over `counts` arrivals."""
+    result = engine.run(cfg, name, arrivals.ArrivalProcess.trace(counts), model)
+    return result.ledgers, result.sessions.columns
+
+
+def _stepped(cfg, name, model, counts):
+    """A `World` stepped over the first `cfg.duration` of `counts`, as `run`
+    reads a trace: its slot table and the session log `run` keeps from it,
+    the reference for `run`'s unlimited-capacity path."""
+    world = World(cfg, name, model)
+    for c in counts[: cfg.duration]:
+        world.step(int(c))
+    log = world.sessions.columns
+    return world.ledgers, log[:, log[0] >= cfg.warmup_slots]
+
+
+def _assert_matches_the_slot_loop(cfg, name, model, counts):
+    """`run` at unlimited capacity against the slot loop: every column bit
+    for bit, except `bw_used` and skip mode's `consumed`, sums over the pool
+    in another order, to 1e-12 relative.  Returns `run`'s result."""
+    result = engine.run(cfg, name, arrivals.ArrivalProcess.trace(counts), model)
+    ledgers, log = _stepped(cfg, name, model, counts)
+    got = result.ledgers
+    assert got.shape == ledgers.shape
+    summed = ("bw_used", "consumed") if cfg.playback_model == "skip" else ("bw_used",)
+    for field in engine.SLOT_FIELDS:
+        if field in summed:
+            np.testing.assert_allclose(got[field], ledgers[field], rtol=1e-12, atol=0,
+                                       err_msg=f"{field} {cfg}")
+        else:
+            assert got[field].tobytes() == ledgers[field].tobytes(), (field, cfg)
+    assert result.sessions.columns.shape == log.shape, cfg
+    assert result.sessions.columns.tobytes() == log.tobytes(), cfg
+    return result
 
 
 def _check_every_slot(cfg, strategy, model, counts):

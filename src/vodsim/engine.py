@@ -60,7 +60,12 @@ state asks for and a session's trajectory depends on its departure target
 alone; and the targets are drawn independently of the arrivals.  So `run`
 steps two small `World`s on the run's config, one holding a single session
 with target L and one holding a session per target 1..L, and builds the
-slot table and session log from them with interval counts (`_run_unlimited`).
+slot table and session log from them with interval counts (`_run_unlimited`),
+with no loop over slots.  The log is ordered by one sort on unique keys, by
+departure slot and then by admission, as the slot loop appends it.  Each
+slot's `bw_wasted` is one `np.add.reduce` over its departures' waste, in that
+order, as `_depart` sums it; the slots with m departures are summed together,
+as the rows of one (slots, m) block (`_group_sums`).
 Every lifecycle rule is the slot loop's own.  The integer columns,
 `bw_wasted`, freeze mode's `consumed` and every session-log column equal the
 slot loop's bit for bit.  `bw_used` and skip mode's `consumed` sum over the
@@ -433,8 +438,12 @@ def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
     gives one session's `bw_used`, `playing` and `consumed` at each offset
     from arrival.  `each` holds one session per target 1..L: d_k is
     nondecreasing in k, so its log holds the targets in order, each with its
-    departure slot and logged row.  The run's columns are interval counts
-    over the runs of offsets where `one`'s three columns stay constant.
+    departure slot and logged row.  The run's `active`, `bw_used`, `playing`
+    and `consumed` are interval counts over the runs of offsets where `one`'s
+    three columns stay constant.  The log is the departed sessions' rows of
+    `each`, sorted by the unique key (departure slot, admission index), and
+    `bw_wasted` sums each slot's run of waste in that order by departure
+    count (`_group_sums`).
     """
     T, L, w = config.duration, config.video_length, config.warmup_slots
     one = _profile(config, strategy, model, [L])
@@ -467,21 +476,14 @@ def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
         consumed += take * n
     del last
 
-    # Departure order: by slot, same-slot departures in admission order.
-    order = gone[np.argsort(departure[gone], kind="stable")]
+    # Departure order: by slot, same-slot departures in admission order.  The
+    # keys departure * N + index are unique, so any sort gives that order.
+    # They stay below T * N, which reaches 2**63 only in a run whose slot
+    # table (64 bytes a slot) and one int64 array over its sessions take
+    # 2**37 bytes (128 GiB) or more together.
+    order = gone[np.argsort(departure[gone] * departure.size + gone)]
     del gone, departure
-    # Each slot's waste is summed as `_depart` sums it, by one
-    # `np.add.reduce` in admission order.  `reduceat` adds from left to
-    # right, which gives the same bits for one or two terms only.
-    waste = logged[-1][target[order] - 1]
-    first = np.cumsum(departures) - departures  # each slot's first entry in `waste`
-    bw_wasted = np.zeros(T)
-    some = np.flatnonzero(departures)
-    if some.size:
-        bw_wasted[some] = np.add.reduceat(waste, first[some])
-    for t in np.flatnonzero(departures > 2).tolist():
-        bw_wasted[t] = np.add.reduce(waste[first[t] : first[t] + departures[t]])
-    del waste, first, some
+    bw_wasted = _group_sums(logged[-1][target[order] - 1], departures)
 
     order = order[arrival[order] >= w]
     sessions = logged[:, target[order] - 1]
@@ -497,6 +499,21 @@ def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
     table["playing"] = playing
     table["consumed"] = consumed
     return table.view(np.recarray), SessionLog(sessions)
+
+
+def _group_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sums of the consecutive groups of `values` whose sizes are
+    `counts`, each as the one `np.add.reduce` of its group that `_depart`
+    makes.  The groups of one size m are gathered into one C-contiguous
+    (groups, m) block and reduced along its rows, which numpy sums as it sums
+    a 1-D array of m; one reduction per distinct size, fewer than sqrt(2N)
+    for N values."""
+    sums = np.zeros(counts.size)
+    first = np.cumsum(counts) - counts
+    for m in np.unique(counts[counts > 0]).tolist():
+        groups = np.flatnonzero(counts == m)
+        sums[groups] = np.add.reduce(values[first[groups, None] + np.arange(m)], axis=1)
+    return sums
 
 
 def _in_run(arrival: np.ndarray, last: np.ndarray, start: int, end: int, T: int) -> np.ndarray:

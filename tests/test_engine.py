@@ -472,7 +472,7 @@ class TestUnlimitedCapacity:
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     @pytest.mark.parametrize("case", ["no arrivals", "no slots", "shorter than a lifetime",
                                       "one-slot video", "startup above the video length",
-                                      "warmup after the end"])
+                                      "warmup after the end", "departure bursts"])
     def test_edge_cases_match_the_slot_loop(self, name, case):
         cfg = SimConfig(server_capacity=math.inf, video_length=30, duration=120, warmup=0,
                         seed=9)
@@ -489,7 +489,14 @@ class TestUnlimitedCapacity:
             model = behavior.DepartureModel([1.0])
         elif case == "startup above the video length":
             cfg = replace(cfg, startup_threshold=45.0, rebuffer_threshold=45.0)
-        else:
+        elif case == "departure bursts":
+            # Hundreds of same-slot departures with inexact waste: slots of
+            # more than 128 departures take numpy's pairwise branch, which
+            # the per-count sums must follow as the slot loop's sums do.
+            cfg = replace(cfg, bitrate=0.3, access_cap=0.51)
+            counts[:] = 0
+            counts[3], counts[40] = 400, 150
+        elif case == "warmup after the end":
             cfg = replace(cfg, warmup=200)
         result = _assert_matches_the_slot_loop(cfg, name, model, counts)
         ledgers, sessions = result.ledgers, result.sessions
@@ -503,8 +510,30 @@ class TestUnlimitedCapacity:
             assert np.array_equal(ledgers.departures, counts)  # all leave in their first slot
         elif case == "startup above the video length":
             assert not ledgers.playing.any() and ledgers.departures.sum() > 0
+        elif case == "departure bursts":
+            departures = ledgers.departures
+            assert departures.max() > 128 and ((departures >= 8) & (departures <= 128)).any()
+            assert ledgers.bw_wasted.max() > 0
+            _assert_matches_the_slot_loop(replace(cfg, playback_model="skip"), name, model,
+                                          counts)
         else:
             assert result.report.empty and ledgers.departures.sum() > 0
+
+    def test_group_sums_match_one_reduce_per_group(self):
+        # Each group sums as the one 1-D `np.add.reduce` a departure makes,
+        # bit for bit, for every size up to and past numpy's 8-term and
+        # 128-term branches, with empty groups in between.
+        rng = np.random.default_rng(17)
+        counts = rng.permutation(np.repeat(np.arange(261), 2))
+        values = rng.lognormal(0.0, 4.0, counts.sum())
+        first = np.cumsum(counts) - counts
+        want = np.array([np.add.reduce(values[f : f + m]) for f, m in zip(first, counts)])
+        got = engine._group_sums(values, counts)
+        assert got.tobytes() == want.tobytes()
+        # The values spread enough that the order shows: exactly rounded
+        # sums differ from the reduction's in many groups.
+        exact = np.array([math.fsum(values[f : f + m]) for f, m in zip(first, counts)])
+        assert (exact != want).sum() > 100
 
 
 def _run(cfg, name, model, counts):

@@ -166,7 +166,7 @@ def _experiment_rows(args, config, model, rho_values):
     for rho in rho_values:
         if args.trace:
             process = arrivals.load_trace(args.trace, scale=args.trace_scale)
-            cfg = replace(config, duration=args.duration or process.length)
+            cfg = replace(config, duration=process.length if args.duration is None else args.duration)
         else:
             lam = engine.poisson_arrival_rate(rho, config, model)
             process = arrivals.ArrivalProcess.poisson(lam)

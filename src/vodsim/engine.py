@@ -58,14 +58,19 @@ capacity, where `run` steps no `World` over the arrivals.  Two premises hold
 there: no budget binds, so every allocator gives each session what its own
 state asks for and a session's trajectory depends on its departure target
 alone; and the targets are drawn independently of the arrivals.  So `run`
-steps two small `World`s on the run's config, one holding a single session
-with target L and one holding a session per target 1..L, and builds the
-slot table and session log from them with interval counts (`_run_unlimited`),
-with no loop over slots.  The log is ordered by one sort on unique keys, by
-departure slot and then by admission, as the slot loop appends it.  Each
-slot's `bw_wasted` is one `np.add.reduce` over its departures' waste, in that
-order, as `_depart` sums it; the slots with m departures are summed together,
-as the rows of one (slots, m) block (`_group_sums`).
+steps one small `World` on the run's config, holding a single session with
+target L (`_Trajectory`), and keeps that session's slab column at the end of
+each slot.  A session with target k follows it until its own departure slot
+d_k, the first in which playback reaches k or the download completes; both
+rows never decrease, so one search in each finds d_k, and the column of slot
+d_k with target k, through `_depart`'s waste code, is its logged row.
+`_run_unlimited` builds the slot table and session log from these with
+interval counts, with no loop over slots.  The log is ordered by one sort on
+unique keys, by departure slot and then by admission, as the slot loop
+appends it.  Each slot's `bw_wasted` is one `np.add.reduce` over its
+departures' waste, in that order, as `_depart` sums it; the slots with m
+departures are summed together, as the rows of one (slots, m) block
+(`_group_sums`).
 Every lifecycle rule is the slot loop's own.  The integer columns,
 `bw_wasted`, freeze mode's `consumed` and every session-log column equal the
 slot loop's bit for bit.  `bw_used` and skip mode's `consumed` sum over the
@@ -121,6 +126,12 @@ class SimConfig:
     warmup: int | None = None        # slots excluded from metrics; default 2 * video_length
 
     def validate(self) -> None:
+        for name in ("video_length", "seed", "duration", "warmup"):
+            value = getattr(self, name)
+            if name == "warmup" and value is None:
+                continue
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # Comparisons are written so that NaN fails them.
         for name in ("bitrate", "access_cap", "server_capacity",
                      "startup_threshold", "rebuffer_threshold"):
@@ -239,10 +250,11 @@ class World:
     def step(self, n_arrivals: int = 0) -> np.record:
         """Advance one slot: arrivals, allocation, download, playback,
         departures.  Returns the slot's row of the slot table."""
+        # `type` rather than `isinstance`: bool is a subclass of int.
+        if (type(n_arrivals) is not int and not isinstance(n_arrivals, np.integer)
+                or n_arrivals < 0):
+            raise ValueError(f"arrival count must be a nonnegative integer, got {n_arrivals!r}")
         if n_arrivals:
-            if not isinstance(n_arrivals, (int, np.integer)) or n_arrivals < 0:
-                raise ValueError(
-                    f"arrival count must be a nonnegative integer, got {n_arrivals!r}")
             self._admit(n_arrivals)
         n = self._n
         bw_used = bw_wasted = consumed = n_playing = departures = 0
@@ -314,8 +326,18 @@ class World:
         stably into the spare slab and swap the two; returns their waste."""
         # Rows skipped, downloaded, arrival, freeze_count, freeze_time,
         # playback and target; the last five are the log's fields once waste
-        # replaces target.  Indexing three rows is cheaper than unpacking seven.
+        # replaces target.
         block = self._slab[SKIPPED:].take(gone, axis=1)
+        self._waste(block)
+        self.sessions.append(block[ARRIVAL - SKIPPED:])
+        self._n = _compact(self._slab, self._spare, self._n, gone)
+        self._slab, self._spare = self._spare, self._slab
+        return float(np.add.reduce(block[-1]))
+
+    def _waste(self, block: np.ndarray) -> None:
+        """Overwrite the target row of `block`, departing sessions' slab rows
+        skipped to target, with their waste in Mb."""
+        # Indexing three rows is cheaper than unpacking seven.
         downloaded, playback, waste = block[1], block[5], block[6]
         # Download-complete departures get credited up to their target:
         # the buffered tail up to the target would still be viewed.
@@ -326,10 +348,42 @@ class World:
         np.subtract(downloaded, waste, out=waste)
         np.maximum(waste, 0.0, out=waste)
         waste *= self._bitrate
-        self.sessions.append(block[ARRIVAL - SKIPPED:])
-        self._n = _compact(self._slab, self._spare, self._n, gone)
-        self._slab, self._spare = self._spare, self._slab
-        return float(np.add.reduce(waste))
+
+
+class _Trajectory(World):
+    """A `World` holding one session with target L, admitted in slot 0 and
+    stepped until it departs or `config.duration` slots have passed.  `path`
+    holds the session's slab column at the end of each of those slots, as
+    (rows, slots), the departure slot's as `_depart` finds it."""
+
+    def __init__(self, config: SimConfig, strategy: str, model: DepartureModel):
+        super().__init__(config, strategy, model)
+        self._targets = np.array([float(config.video_length)])
+        self._columns = []
+        k = 1
+        while self.slot < config.duration and (k or self._n):
+            self.step(k)
+            k = 0
+            if self._n:
+                self._columns.append(self._slab[:, 0].copy())
+        self.path = np.reshape(self._columns, (-1, len(SLAB_ROWS))).T
+
+    def _depart(self, gone: np.ndarray) -> float:
+        self._columns.append(self._slab[:, 0].copy())
+        return super()._depart(gone)
+
+    def read_off(self) -> tuple[np.ndarray, np.ndarray]:
+        """d_k for each target k in 1..L, the slot in which a session with
+        target k departs (see the module docstring), or the slot count for
+        one found in neither search; and the `SessionLog` rows of the
+        targets that depart, in target order."""
+        path = self.path
+        d = np.minimum(np.searchsorted(path[PLAYBACK], np.arange(1, self._video_length + 1)),
+                       np.searchsorted(path[DOWNLOADED], self._complete_at))
+        block = path[SKIPPED:, d[d < path.shape[1]]]
+        block[-1] = np.arange(1, block.shape[1] + 1)
+        self._waste(block)
+        return d, block[ARRIVAL - SKIPPED:]
 
 
 def _consume_threshold(freeze_trigger: float) -> float:
@@ -387,8 +441,8 @@ def run(
     At finite capacity a `World` steps through the slots.  At unlimited
     capacity no budget binds, so a session's trajectory depends on its
     departure target alone, and the targets do not depend on the arrivals:
-    the slot table and session log are built from per-target profiles
-    (`_run_unlimited`).  They equal the slot loop's bit for bit, except
+    the slot table and session log are built from one session's trajectory,
+    each target's departure read off it (`_run_unlimited`).  They equal the slot loop's bit for bit, except
     `bw_used` and skip mode's `consumed`, sums over the pool in another
     order, which agree to 1e-12 relative.
     """
@@ -414,47 +468,28 @@ def run(
     )
 
 
-def _profile(config: SimConfig, strategy: str, model: DepartureModel, targets) -> World:
-    """A `World` whose sessions take `targets`, in order, all admitted in
-    slot 0, stepped until every one has departed or `config.duration` slots
-    have passed."""
-    world = World(config, strategy, model)
-    world._targets = np.asarray(targets, dtype=float)
-    k = world._targets.size
-    while world.slot < config.duration and (k or world.active_count):
-        world.step(k)
-        k = 0
-    return world
-
-
 def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
                    counts: np.ndarray) -> tuple[np.recarray, SessionLog]:
     """`run`'s slot table and warmup-filtered session log at unlimited
-    capacity, built from two profile `World`s.
+    capacity, built from one session's trajectory.
 
     No budget binds, so every session with target k follows the trajectory
     of a session with target L until it departs, d_k slots after its
     arrival.  `one` holds a single session with target L: its slot table
     gives one session's `bw_used`, `playing` and `consumed` at each offset
-    from arrival.  `each` holds one session per target 1..L: d_k is
-    nondecreasing in k, so its log holds the targets in order, each with its
-    departure slot and logged row.  The run's `active`, `bw_used`, `playing`
-    and `consumed` are interval counts over the runs of offsets where `one`'s
-    three columns stay constant.  The log is the departed sessions' rows of
-    `each`, sorted by the unique key (departure slot, admission index), and
-    `bw_wasted` sums each slot's run of waste in that order by departure
+    from arrival, and `read_off` gives each target's d_k and logged row from
+    the session's slab columns.  The run's `active`, `bw_used`, `playing`
+    and `consumed` are interval counts over the runs of offsets where
+    `one`'s three columns stay constant.  The log is the departed sessions'
+    logged rows, sorted by the unique key (departure slot, admission index),
+    and `bw_wasted` sums each slot's run of waste in that order by departure
     count (`_group_sums`).
     """
-    T, L, w = config.duration, config.video_length, config.warmup_slots
-    one = _profile(config, strategy, model, [L])
-    each = _profile(config, strategy, model, np.arange(1, L + 1))
+    T, w = config.duration, config.warmup_slots
+    one = _Trajectory(config, strategy, model)
     # `one`'s departure draws are unused: they are the run's own substream.
     target = model.sample_slots(one._dep_rng.random(int(counts.sum())))
-    logged = each.sessions.columns
-    # d_k, or T for a target still active after T slots.
-    offset = np.full(L, T, dtype=np.intp)
-    offset[: logged.shape[1]] = np.repeat(np.arange(each.slot),
-                                          each.ledgers.departures.astype(np.intp))
+    offset, logged = one.read_off()
     last = offset[target - 1]  # each session's last slot, counted from its arrival
     arrival = np.repeat(np.arange(T), counts)
     departure = arrival + last

@@ -203,6 +203,23 @@ class TestInputErrors:
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("capacity", ["unlimited", "100"])
+    def test_zero_duration_trace_run_is_rejected(self, tmp_path, monkeypatch, capsys, capacity):
+        # --duration 0 is a duration, not a request for the trace's length.
+        def no_run(*args):
+            raise AssertionError("a run with no slot must not start")
+
+        monkeypatch.setattr(cli.engine, "run", no_run)
+        trace = tmp_path / "day.trace"
+        trace.write_text("1\n2\n0\n3\n" * 100)
+        code = _exit_code(["run", "--strategy", "be", "--trace", str(trace),
+                           "--capacity", capacity, "--duration", "0", "--warmup", "0",
+                           "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert ("error: warmup (0 slots) must be shorter than the duration (0 slots)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_rejects_nonpositive_config_file_capacity(self, tmp_path, capsys, value):
         cfg = tmp_path / "sim.cfg"

@@ -137,7 +137,7 @@ class TestSlotLoop:
         assert result.report.empty
         assert result.report.sessions_completed == 0
 
-    @pytest.mark.parametrize("count", [-1, 2.5])
+    @pytest.mark.parametrize("count", [-1, 2.5, None, True, False])
     def test_step_rejects_a_bad_arrival_count(self, count):
         world = World(SimConfig(video_length=20), "be", _no_departure_model())
         world.step(3)
@@ -316,6 +316,18 @@ class TestConfigValidation:
     def test_capacities_may_be_unlimited(self):
         SimConfig(access_cap=math.inf, server_capacity=math.inf).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("duration", 10.5), ("duration", 10.0), ("video_length", 30.5), ("warmup", 2.5),
+        ("seed", 1.5), ("seed", "7"), ("duration", True),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            replace(SimConfig(), **{field: value}).validate()
+
+    def test_accepts_numpy_integer_counts(self):
+        SimConfig(video_length=np.int64(30), seed=np.int32(1), duration=np.int64(90),
+                  warmup=np.uint8(0)).validate()
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             SimConfig(seed=-1).validate()
@@ -472,7 +484,8 @@ class TestUnlimitedCapacity:
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     @pytest.mark.parametrize("case", ["no arrivals", "no slots", "shorter than a lifetime",
                                       "one-slot video", "startup above the video length",
-                                      "warmup after the end", "departure bursts"])
+                                      "warmup after the end", "departure bursts",
+                                      "skip with fractional takes"])
     def test_edge_cases_match_the_slot_loop(self, name, case):
         cfg = SimConfig(server_capacity=math.inf, video_length=30, duration=120, warmup=0,
                         seed=9)
@@ -498,6 +511,8 @@ class TestUnlimitedCapacity:
             counts[3], counts[40] = 400, 150
         elif case == "warmup after the end":
             cfg = replace(cfg, warmup=200)
+        elif case == "skip with fractional takes":
+            cfg = replace(cfg, playback_model="skip", bitrate=0.3, access_cap=0.3 * 0.55)
         result = _assert_matches_the_slot_loop(cfg, name, model, counts)
         ledgers, sessions = result.ledgers, result.sessions
         if case in ("no arrivals", "no slots"):
@@ -516,6 +531,9 @@ class TestUnlimitedCapacity:
             assert ledgers.bw_wasted.max() > 0
             _assert_matches_the_slot_loop(replace(cfg, playback_model="skip"), name, model,
                                           counts)
+        elif case == "skip with fractional takes":
+            # An access link below a second per slot leaves takes below one.
+            assert np.any(ledgers.consumed % 1 > 0) and len(sessions) > 0
         else:
             assert result.report.empty and ledgers.departures.sum() > 0
 
@@ -556,7 +574,8 @@ def _stepped(cfg, name, model, counts):
 def _assert_matches_the_slot_loop(cfg, name, model, counts):
     """`run` at unlimited capacity against the slot loop: every column bit
     for bit, except `bw_used` and skip mode's `consumed`, sums over the pool
-    in another order, to 1e-12 relative.  Returns `run`'s result."""
+    in another order, to 1e-12 relative; and its read-off against a session
+    per target.  Returns `run`'s result."""
     result = engine.run(cfg, name, arrivals.ArrivalProcess.trace(counts), model)
     ledgers, log = _stepped(cfg, name, model, counts)
     got = result.ledgers
@@ -570,7 +589,34 @@ def _assert_matches_the_slot_loop(cfg, name, model, counts):
             assert got[field].tobytes() == ledgers[field].tobytes(), (field, cfg)
     assert result.sessions.columns.shape == log.shape, cfg
     assert result.sessions.columns.tobytes() == log.tobytes(), cfg
+    _assert_read_off_matches_each_target(cfg, name, model)
     return result
+
+
+def _assert_read_off_matches_each_target(cfg, name, model):
+    """`run`'s unlimited-capacity read-off, each target's departure slot and
+    logged row from one session's trajectory, against the oracle: a `World`
+    preloaded with one session per target 1..L in slot 0 and stepped.  Bit
+    for bit, for every target."""
+    L, T = cfg.video_length, cfg.duration
+    world = World(cfg, name, model)
+    world._targets = np.arange(1.0, L + 1)
+    world._admit(L)
+    # The arrival row is only logged: mark each session with its target.
+    _columns(world)["arrival"][:] = np.arange(1, L + 1)
+    while world.slot < T and world.active_count:
+        world.step()
+    log = world.sessions.columns
+    targets = log[0].astype(int)
+    want_d = np.full(L, T)
+    want_d[targets - 1] = np.repeat(np.arange(world.slot), world.ledgers.departures.astype(int))
+    want_log = np.zeros((log.shape[0], L))
+    want_log[:, targets - 1] = log
+    want_log[0] = 0  # the trajectory's session arrives in slot 0
+
+    d, logged = engine._Trajectory(cfg, name, model).read_off()
+    assert d.tobytes() == want_d.astype(d.dtype).tobytes(), cfg
+    assert logged.tobytes() == want_log[:, want_d < T].tobytes(), cfg
 
 
 def _check_every_slot(cfg, strategy, model, counts):

@@ -152,6 +152,10 @@ DEFAULT_BROWSE_WIDTH = 0.15
 DEFAULT_COMPLETE_MASS = 0.35
 
 
+# Buckets of `DepartureModel.sample_slots`' lookup; a power of two.
+BUCKETS = 4096
+
+
 class DepartureModel:
     """Departure behavior of a video of L slots, built from its histogram q.
 
@@ -166,7 +170,13 @@ class DepartureModel:
         self.p = rates_from_histogram(self.q)
         self.cdf = np.cumsum(self.q)
         self.cdf[-1] = 1.0  # absorb float round-off at the terminal bin
-        for a in (self.q, self.p, self.cdf):
+        # `sample_slots`' bucket tables: the number of cdf values at or
+        # below each bucket's left edge b / G, and whether the bucket's open
+        # interior holds two or more of them.
+        edges = np.arange(BUCKETS + 1) / BUCKETS
+        self._first = np.searchsorted(self.cdf, edges[:-1], side="right")
+        self._wide = np.searchsorted(self.cdf, edges[1:], side="left") - self._first >= 2
+        for a in (self.q, self.p, self.cdf, self._first, self._wide):
             a.flags.writeable = False
         self.browse_slots = phase_boundary(self.p)
         t = np.arange(1, self.slots + 1)
@@ -188,8 +198,30 @@ class DepartureModel:
 
     def sample_slots(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform samples: for each u in [0, 1), the smallest
-        1-based t with u < cdf[t - 1], the number of slots the viewer watches."""
-        return np.searchsorted(self.cdf, np.asarray(u, dtype=float), side="right") + 1
+        1-based t with u < cdf[t - 1], the number of slots the viewer watches.
+
+        The result is `np.searchsorted(cdf, u, side="right") + 1`, the count
+        of cdf values at or below u, plus one, found in one step for most u.
+        G = BUCKETS is a power of two, so u * G is exact and u lies in bucket
+        b = floor(u * G), [b / G, (b + 1) / G).  The cdf values at or below
+        b / G number `_first[b]`, and those at or above (b + 1) / G all exceed
+        u, so only values strictly inside the bucket remain to count.  With at
+        most one of them, it is `cdf[_first[b]]`, the first value above b / G
+        (cdf[-1] = 1 is above every b / G), counted if it is at most u; a
+        bucket holding two or more (a `_wide` one) is searched.
+        """
+        u = np.asarray(u, dtype=float)
+        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails
+            raise ValueError("departure draws must lie in [0, 1)")
+        shape, u = u.shape, u.ravel()
+        b = (u * BUCKETS).astype(np.intp)
+        t = self._first[b]
+        t += self.cdf[t] <= u
+        wide = self._wide[b].nonzero()[0]
+        if wide.size:
+            t[wide] = np.searchsorted(self.cdf, u[wide], side="right")
+        t += 1
+        return t.reshape(shape)[()]
 
     def hazard_at(self, viewed: np.ndarray) -> np.ndarray:
         """Hazard of the slot after `viewed` viewed slots, `p[viewed]`.  The

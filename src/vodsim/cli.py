@@ -48,7 +48,8 @@ def _positive_finite(text: str) -> float:
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value document mirroring SimConfig field names."""
+    """Flat key = value document mirroring SimConfig field names, each value
+    converted to its field's type."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -60,26 +61,29 @@ def load_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = value
+            out[key] = _coerce(key, value, f"{path}:{lineno}")
     return out
 
 
-def _coerce(key: str, value: str):
+def _coerce(key: str, value: str, where: str):
+    """`value` as config field `key`'s type; an error names `where`."""
     if key == "playback_model":
         return value
     if key == "server_capacity" and value.lower() == "unlimited":
         return math.inf  # any other value is a float, checked by `SimConfig.validate`
-    if key in ("video_length", "seed", "duration", "warmup"):
-        return int(value)
-    return float(value)
+    integer = key in ("video_length", "seed", "duration", "warmup")
+    try:
+        return int(value) if integer else float(value)
+    except ValueError:
+        kind = "an integer" if integer else "a number"
+        if key == "server_capacity":
+            kind += " or 'unlimited'"
+        raise ValueError(f"{where}: {key} must be {kind}, got {value!r}") from None
 
 
 def build_config(args) -> SimConfig:
     """Flags override config-file keys override defaults."""
-    values = {}
-    if getattr(args, "config", None):
-        for key, raw in load_config_file(args.config).items():
-            values[key] = _coerce(key, raw)
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
     flag_map = {
         "seed": args.seed,
         "server_capacity": args.capacity,

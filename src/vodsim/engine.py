@@ -64,13 +64,17 @@ each slot.  A session with target k follows it until its own departure slot
 d_k, the first in which playback reaches k or the download completes; both
 rows never decrease, so one search in each finds d_k, and the column of slot
 d_k with target k, through `_depart`'s waste code, is its logged row.
-`_run_unlimited` builds the slot table and session log from these with
-interval counts, with no loop over slots.  The log is ordered by one sort on
-unique keys, by departure slot and then by admission, as the slot loop
-appends it.  Each slot's `bw_wasted` is one `np.add.reduce` over its
-departures' waste, in that order, as `_depart` sums it; the slots with m
-departures are summed together, as the rows of one (slots, m) block
-(`_group_sums`).
+`_run_unlimited` builds the slot table and session log from these with a
+few passes over the sessions and no loop over slots.  Each session's
+class is the run of constant `bw_used`, `playing` and `consumed` offsets
+that holds its last offset; two histograms over (slot, class), of arrivals
+and of exits, give each run's session count per slot as one integer
+cumsum.  The log is ordered by departure slot and then by admission, as the
+slot loop appends it: one stable radix sort of 16-bit slot keys or, from
+2**16 slots on, one sort of unique 64-bit keys.  Each slot's
+`bw_wasted` is one `np.add.reduce` over its departures' waste, in that
+order, as `_depart` sums it; the slots with m departures are summed
+together, as the rows of one (slots, m) block (`_group_sums`).
 Every lifecycle rule is the slot loop's own.  The integer columns,
 `bw_wasted`, freeze mode's `consumed` and every session-log column equal the
 slot loop's bit for bit.  `bw_used` and skip mode's `consumed` sum over the
@@ -479,22 +483,23 @@ def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
     gives one session's `bw_used`, `playing` and `consumed` at each offset
     from arrival, and `read_off` gives each target's d_k and logged row from
     the session's slab columns.  The run's `active`, `bw_used`, `playing`
-    and `consumed` are interval counts over the runs of offsets where
-    `one`'s three columns stay constant.  The log is the departed sessions'
-    logged rows, sorted by the unique key (departure slot, admission index),
-    and `bw_wasted` sums each slot's run of waste in that order by departure
-    count (`_group_sums`).
+    and `consumed` are counts over the R runs of offsets where `one`'s three
+    columns stay constant: a session is in every run up to the one holding
+    its last offset, its class, and two histograms over (slot, class), of
+    arrivals and of exits from the class's run, give every run's count per
+    slot as one integer cumsum.  The log is the departed sessions' logged
+    rows in departure order, by slot and then by admission, and `bw_wasted`
+    sums each slot's run of waste in that order by departure count
+    (`_group_sums`).
     """
     T, w = config.duration, config.warmup_slots
     one = _Trajectory(config, strategy, model)
     # `one`'s departure draws are unused: they are the run's own substream.
-    target = model.sample_slots(one._dep_rng.random(int(counts.sum())))
+    k = model.sample_slots(one._dep_rng.random(int(counts.sum()))) - 1  # target - 1
     offset, logged = one.read_off()
-    last = offset[target - 1]  # each session's last slot, counted from its arrival
     arrival = np.repeat(np.arange(T), counts)
-    departure = arrival + last
-    gone = np.flatnonzero(departure < T)
-    departures = np.bincount(departure[gone], minlength=T)
+    departure = np.minimum(arrival + offset[k], T)  # T: still active at the end
+    departures = np.bincount(departure, minlength=T + 1)[:T]
 
     # Runs [start, end) of offsets over which `one`'s bw_used, playing and
     # consumed stay constant: offset 0 starts one, as does each offset whose
@@ -502,27 +507,53 @@ def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
     prof = one.ledgers
     values = np.stack((prof.bw_used, prof.playing, prof.consumed))
     changed = (values[:, 1:] != values[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(np.concatenate(([one.slot > 0], changed))).tolist()
+    starts = np.flatnonzero(np.concatenate(([one.slot > 0], changed)))
+    R = starts.size
+    # Each target's class and the offset at which it leaves its class's run:
+    # a session outliving `one`'s slots stays in the last run to its end.
+    cls = np.searchsorted(starts, offset, side="right") - 1
+    stop = np.minimum(offset + 1, one.slot)
+    # S[a, r]: arrivals in slot a of class r or above, with a zero column R;
+    # E[s, r]: sessions of class r that leave run r in slot s.
+    key = arrival * R
+    S = np.zeros((T, R + 1), np.int64)
+    S[:, :R] = np.bincount(key + cls[k], minlength=T * R).reshape(T, R)
+    S[:, ::-1] = np.cumsum(S[:, ::-1], axis=1)
+    E = np.bincount(key + (stop * R + cls)[k], minlength=2 * T * R)[: T * R].reshape(T, R)
+    del key
     bw_used, playing, consumed = np.zeros((3, T))
-    for start, end, (bw, play, take) in zip(starts, starts[1:] + [one.slot], values.T[starts]):
-        n = _in_run(arrival, last, start, end, T)
+    for r, (start, end) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [one.slot])):
+        # Class r and above enter run r at offset start; above r leave at end.
+        edges = -E[:, r]
+        edges[start:] += S[: T - start, r]
+        edges[end:] -= S[: T - end, r + 1]
+        n = np.cumsum(edges)
+        bw, play, take = values[:, start]
         bw_used += bw * n
         playing += play * n
         consumed += take * n
-    del last
+    del S, E
 
-    # Departure order: by slot, same-slot departures in admission order.  The
-    # keys departure * N + index are unique, so any sort gives that order.
-    # They stay below T * N, which reaches 2**63 only in a run whose slot
-    # table (64 bytes a slot) and one int64 array over its sessions take
-    # 2**37 bytes (128 GiB) or more together.
-    order = gone[np.argsort(departure[gone] * departure.size + gone)]
-    del gone, departure
-    bw_wasted = _group_sums(logged[-1][target[order] - 1], departures)
+    # Departure order: by slot, then by admission, with the sessions still
+    # active (slot T) last and cut off.  numpy's stable sort of 16-bit keys
+    # is a radix sort; from 2**16 slots on, the unique keys departure * N +
+    # index give that order under any sort (they pass 2**63 only in a run
+    # whose slot table and one int64 session array take 128 GiB together).
+    if T < 1 << 16:
+        order = np.argsort(departure.astype(np.uint16), kind="stable")
+    else:
+        order = np.argsort(departure * departure.size + np.arange(departure.size))
+    order = order[: int(departures.sum())]
+    del departure
+    k = k[order]
+    bw_wasted = _group_sums(logged[-1][k], departures)
 
-    order = order[arrival[order] >= w]
-    sessions = logged[:, target[order] - 1]
-    sessions[0] = arrival[order]
+    # Arrivals never decrease, so the sessions arriving from slot w on are
+    # those admitted from index counts[:w].sum() on.
+    measured = order >= counts[:w].sum()
+    sessions = logged.take(k[measured], axis=1)
+    del k
+    sessions[0] = arrival[order[measured]]
 
     table = np.zeros(T, SLOT_DTYPE)
     table["slot"] = np.arange(T)
@@ -542,25 +573,18 @@ def _group_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     makes.  The groups of one size m are gathered into one C-contiguous
     (groups, m) block and reduced along its rows, which numpy sums as it sums
     a 1-D array of m; one reduction per distinct size, fewer than sqrt(2N)
-    for N values."""
+    for N values.  One stable argsort of `counts` lists the groups of each
+    size together."""
     sums = np.zeros(counts.size)
     first = np.cumsum(counts) - counts
-    for m in np.unique(counts[counts > 0]).tolist():
-        groups = np.flatnonzero(counts == m)
-        sums[groups] = np.add.reduce(values[first[groups, None] + np.arange(m)], axis=1)
+    by_size = np.argsort(counts, kind="stable")
+    sizes = counts[by_size]
+    # Where each nonzero size begins in `sizes`, ascending.
+    bounds = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()
+    for lo, hi in zip(bounds, bounds[1:] + [sizes.size]):
+        groups = by_size[lo:hi]
+        sums[groups] = np.add.reduce(values[first[groups, None] + np.arange(sizes[lo])], axis=1)
     return sums
-
-
-def _in_run(arrival: np.ndarray, last: np.ndarray, start: int, end: int, T: int) -> np.ndarray:
-    """For each of T slots, how many sessions are at an offset in [start,
-    end) from their arrival slot `arrival` and at most `last` slots after
-    it."""
-    there = last >= start
-    a = arrival[there]
-    edges = np.bincount(np.minimum(a + start, T), minlength=T + 1)
-    a += np.minimum(last[there], end - 1) + 1
-    edges -= np.bincount(np.minimum(a, T), minlength=T + 1)
-    return np.cumsum(edges[:T])
 
 
 def load_to_arrival_rate(

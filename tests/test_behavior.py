@@ -117,6 +117,57 @@ class TestSampling:
         assert np.all(np.abs(counts - n * q) <= 3 * stderr)
 
 
+def _assert_sampling_is_the_search(model):
+    """`sample_slots` equals `np.searchsorted(cdf, u, side="right") + 1` bit
+    for bit, dtype included, at every cdf value, both float neighbours of
+    each, 0.0 and the largest double below 1; for an array, for 0-d draws
+    (a numpy integer, as the search gives) and for an empty array."""
+    cdf = model.cdf
+    u = np.concatenate((cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
+                        [0.0, np.nextafter(1.0, 0.0)]))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    want = np.searchsorted(cdf, u, side="right") + 1
+    got = model.sample_slots(u)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # Every draw in a bucket that the search serves, and a few others, 0-d.
+    wide = u[model._wide[(u * behavior.BUCKETS).astype(int)]]
+    for x in [*wide[:20], *u[:: max(1, u.size // 20)]]:
+        one, expected = model.sample_slots(x), np.searchsorted(cdf, x, side="right") + 1
+        assert type(one) is type(expected) and one == expected
+    empty = model.sample_slots(np.zeros(0))
+    assert empty.shape == (0,) and empty.dtype == want.dtype
+
+
+# Bin weights: zero runs, bins of 1e-7 (several cdf values in one bucket)
+# and ordinary ones.
+_weights = st.sampled_from([0.0, 1e-7, 1.0]) | st.floats(min_value=1e-9, max_value=1.0)
+
+
+class TestSamplingIsExact:
+    @pytest.mark.parametrize("q", [
+        [1.0], [0.25] * 4, [0.3, 0.0, 0.0, 0.2, 0.0, 0.5],
+        np.r_[np.full(1000, 1e-7), 1.0 - 1e-4], synthetic_model(300, 0.45, 0.15, 0.35),
+    ], ids=["one bin", "four bins", "zero runs", "1e-7 bins", "synthetic L 300"])
+    def test_named_histograms(self, q):
+        model = DepartureModel(q)
+        if len(q) in (6, 1001):
+            assert model._wide.any()  # the searched path is taken
+        _assert_sampling_is_the_search(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 4, 300]) | st.integers(1, 80), st.data())
+    def test_random_histograms(self, L, data):
+        w = np.array(data.draw(st.lists(_weights, min_size=L, max_size=L)))
+        if not w.sum() > 0:
+            w[-1] = 1.0
+        _assert_sampling_is_the_search(DepartureModel(w / w.sum()))
+
+    @pytest.mark.parametrize("u", [-0.1, 1.0, np.nan, [0.5, 1.5]])
+    def test_rejects_draws_outside_the_unit_interval(self, u):
+        with pytest.raises(ValueError, match=r"departure draws must lie in \[0, 1\)"):
+            DepartureModel([0.25] * 4).sample_slots(u)
+
+
 def _browse_slots_oracle(p):
     """phase_boundary by its definition, in plain Python."""
     candidates = [float(x) for x in p[:-1]]

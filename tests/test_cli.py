@@ -1,6 +1,10 @@
 """End-to-end CLI tests: subcommands, config layering, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,23 @@ class TestInputErrors:
                            "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("duration = 10.5", "duration must be an integer, got '10.5'"),
+        ("bitrate = fast", "bitrate must be a number, got 'fast'"),
+        ("seed = 3\n\nserver_capacity = lots",
+         "server_capacity must be a number or 'unlimited', got 'lots'"),
+    ])
+    def test_config_file_value_error_names_file_line_and_key(self, tmp_path, capsys, text,
+                                                            message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text + "\n")
+        line = text.count("\n") + 1
+        code = _exit_code(["run", "--strategy", "be", "--config", str(cfg), *SMALL,
+                           "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", [
@@ -363,3 +384,14 @@ class TestVerify:
         lines = [l for l in output.strip().splitlines() if l]
         assert len(lines) == 4
         assert all(l.startswith("PASS") for l in lines)
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["run", "--bogus"], 2)])
+    def test_python_m_vodsim_exits_with_the_cli_status(self, argv, code):
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", "vodsim", *argv], capture_output=True,
+                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == code, out.stderr
+        assert "usage: vodsim" in (out.stdout if code == 0 else out.stderr)

@@ -537,6 +537,24 @@ class TestUnlimitedCapacity:
         else:
             assert result.report.empty and ledgers.departures.sum() > 0
 
+    @pytest.mark.parametrize("name", ["sc", "bb"])
+    @pytest.mark.parametrize("T", [65535, 65536, 65537])
+    def test_departure_order_across_the_key_width(self, T, name):
+        # Below 2**16 slots the departure order sorts 16-bit slot keys, with
+        # the slot count as the key of a session still active at the end;
+        # from 2**16 slots on it sorts unique 64-bit keys.  A burst near the
+        # end puts same-slot departures on the last slots, 65535 and 65536
+        # among them, and leaves sessions active at the end.
+        cfg = SimConfig(server_capacity=math.inf, video_length=30, duration=T, warmup=0,
+                        seed=9)
+        counts = np.zeros(T, dtype=np.int64)
+        counts[100] = 3
+        counts[T - 40 :] = 5
+        model = behavior.DepartureModel.synthetic(L=30)
+        ledgers = _assert_matches_the_slot_loop(cfg, name, model, counts).ledgers
+        assert ledgers.departures[-3:].sum() > 0 and ledgers.departures[-40:].max() > 1
+        assert ledgers.active[-1] > ledgers.departures[-1]
+
     def test_group_sums_match_one_reduce_per_group(self):
         # Each group sums as the one 1-D `np.add.reduce` a departure makes,
         # bit for bit, for every size up to and past numpy's 8-term and

@@ -67,11 +67,11 @@ d_k with target k, through `_depart`'s waste code, is its logged row.
 `_run_unlimited` builds the slot table and session log from these with a
 few passes over the sessions and no loop over slots.  Each session's
 class is the run of constant `bw_used`, `playing` and `consumed` offsets
-that holds its last offset; two histograms over (slot, class), of arrivals
+that holds its last offset; two histograms over (class, slot), of arrivals
 and of exits, give each run's session count per slot as one integer
 cumsum.  The log is ordered by departure slot and then by admission, as the
-slot loop appends it: one stable radix sort of 16-bit slot keys or, from
-2**16 slots on, one sort of unique 64-bit keys.  Each slot's
+slot loop appends it: one stable sort of the departure slots, a radix sort
+below 2**16 slots.  Each slot's
 `bw_wasted` is one `np.add.reduce` over its departures' waste, in that
 order, as `_depart` sums it; the slots with m departures are summed
 together, as the rows of one (slots, m) block (`_group_sums`).
@@ -485,12 +485,14 @@ def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
     the session's slab columns.  The run's `active`, `bw_used`, `playing`
     and `consumed` are counts over the R runs of offsets where `one`'s three
     columns stay constant: a session is in every run up to the one holding
-    its last offset, its class, and two histograms over (slot, class), of
+    its last offset, its class, and two histograms over (class, slot), of
     arrivals and of exits from the class's run, give every run's count per
-    slot as one integer cumsum.  The log is the departed sessions' logged
-    rows in departure order, by slot and then by admission, and `bw_wasted`
-    sums each slot's run of waste in that order by departure count
-    (`_group_sums`).
+    slot as one integer cumsum.  The histograms are built for a block of
+    classes at a time, so that memory stays O(N + T) for N sessions and T
+    slots however many runs there are.  The log is the departed sessions'
+    logged rows in departure order, by slot and then by admission, and
+    `bw_wasted` sums each slot's run of waste in that order by departure
+    count (`_group_sums`).
     """
     T, w = config.duration, config.warmup_slots
     one = _Trajectory(config, strategy, model)
@@ -509,40 +511,44 @@ def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
     changed = (values[:, 1:] != values[:, :-1]).any(axis=0)
     starts = np.flatnonzero(np.concatenate(([one.slot > 0], changed)))
     R = starts.size
-    # Each target's class and the offset at which it leaves its class's run:
-    # a session outliving `one`'s slots stays in the last run to its end.
-    cls = np.searchsorted(starts, offset, side="right") - 1
-    stop = np.minimum(offset + 1, one.slot)
-    # S[a, r]: arrivals in slot a of class r or above, with a zero column R;
-    # E[s, r]: sessions of class r that leave run r in slot s.
-    key = arrival * R
-    S = np.zeros((T, R + 1), np.int64)
-    S[:, :R] = np.bincount(key + cls[k], minlength=T * R).reshape(T, R)
-    S[:, ::-1] = np.cumsum(S[:, ::-1], axis=1)
-    E = np.bincount(key + (stop * R + cls)[k], minlength=2 * T * R)[: T * R].reshape(T, R)
-    del key
+    # Each session's class, and the slot at which it leaves its class's run
+    # (T: not before the end); a session outliving `one`'s slots stays in
+    # the last run to its end.
+    cls = (np.searchsorted(starts, offset, side="right") - 1)[k]
+    leave = np.minimum(arrival + np.minimum(offset + 1, one.slot)[k], T)
+    # The classes go in blocks of B, each block's histograms of arrivals and
+    # of exits over (class, slot) holding at most max(N, T + 1) entries for
+    # N sessions, so memory stays O(N + T) however many runs `one` makes.
+    W = T + 1
+    B = max(1, k.size // W)
+    runs = list(zip(starts.tolist(), starts[1:].tolist() + [one.slot]))
+    above = counts  # arrivals per slot of class r or above
     bw_used, playing, consumed = np.zeros((3, T))
-    for r, (start, end) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [one.slot])):
-        # Class r and above enter run r at offset start; above r leave at end.
-        edges = -E[:, r]
-        edges[start:] += S[: T - start, r]
-        edges[end:] -= S[: T - end, r + 1]
-        n = np.cumsum(edges)
-        bw, play, take = values[:, start]
-        bw_used += bw * n
-        playing += play * n
-        consumed += take * n
-    del S, E
+    for lo in range(0, R, B):
+        mine = (cls >= lo) & (cls < lo + B)
+        key = (cls[mine] - lo) * W
+        size = min(B, R - lo) * W
+        H = np.bincount(key + arrival[mine], minlength=size).reshape(-1, W)
+        E = np.bincount(key + leave[mine], minlength=size).reshape(-1, W)
+        for r, (start, end) in enumerate(runs[lo: lo + B]):
+            # Class lo + r and above enter its run at offset start; above it
+            # leave at end, and the class itself at its exit.
+            edges = -E[r, :T]
+            edges[start:] += above[: T - start]
+            above = above - H[r, :T]
+            edges[end:] -= above[: T - end]
+            n = np.cumsum(edges)
+            bw, play, take = values[:, start]
+            bw_used += bw * n
+            playing += play * n
+            consumed += take * n
+        del mine, key, H, E
+    del cls, leave
 
     # Departure order: by slot, then by admission, with the sessions still
-    # active (slot T) last and cut off.  numpy's stable sort of 16-bit keys
-    # is a radix sort; from 2**16 slots on, the unique keys departure * N +
-    # index give that order under any sort (they pass 2**63 only in a run
-    # whose slot table and one int64 session array take 128 GiB together).
-    if T < 1 << 16:
-        order = np.argsort(departure.astype(np.uint16), kind="stable")
-    else:
-        order = np.argsort(departure * departure.size + np.arange(departure.size))
+    # active (slot T) last and cut off.  numpy's stable sort of 16-bit keys,
+    # those of runs below 2**16 slots, is a radix sort.
+    order = np.argsort(departure.astype(np.min_scalar_type(T)), kind="stable")
     order = order[: int(departures.sum())]
     del departure
     k = k[order]
@@ -573,17 +579,12 @@ def _group_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     makes.  The groups of one size m are gathered into one C-contiguous
     (groups, m) block and reduced along its rows, which numpy sums as it sums
     a 1-D array of m; one reduction per distinct size, fewer than sqrt(2N)
-    for N values.  One stable argsort of `counts` lists the groups of each
-    size together."""
+    for N values."""
     sums = np.zeros(counts.size)
     first = np.cumsum(counts) - counts
-    by_size = np.argsort(counts, kind="stable")
-    sizes = counts[by_size]
-    # Where each nonzero size begins in `sizes`, ascending.
-    bounds = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()
-    for lo, hi in zip(bounds, bounds[1:] + [sizes.size]):
-        groups = by_size[lo:hi]
-        sums[groups] = np.add.reduce(values[first[groups, None] + np.arange(sizes[lo])], axis=1)
+    for m in np.unique(counts[counts > 0]).tolist():
+        groups = np.flatnonzero(counts == m)
+        sums[groups] = np.add.reduce(values[first[groups, None] + np.arange(m)], axis=1)
     return sums
 
 

@@ -540,11 +540,11 @@ class TestUnlimitedCapacity:
     @pytest.mark.parametrize("name", ["sc", "bb"])
     @pytest.mark.parametrize("T", [65535, 65536, 65537])
     def test_departure_order_across_the_key_width(self, T, name):
-        # Below 2**16 slots the departure order sorts 16-bit slot keys, with
-        # the slot count as the key of a session still active at the end;
-        # from 2**16 slots on it sorts unique 64-bit keys.  A burst near the
-        # end puts same-slot departures on the last slots, 65535 and 65536
-        # among them, and leaves sessions active at the end.
+        # The departure order sorts slot keys, with the slot count as the key
+        # of a session still active at the end: 16-bit keys below 2**16
+        # slots, wider ones from there on.  A burst near the end puts
+        # same-slot departures on the last slots, 65535 and 65536 among
+        # them, and leaves sessions active at the end.
         cfg = SimConfig(server_capacity=math.inf, video_length=30, duration=T, warmup=0,
                         seed=9)
         counts = np.zeros(T, dtype=np.int64)

@@ -48,8 +48,9 @@ def _positive_finite(text: str) -> float:
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value document mirroring SimConfig field names, each value
-    converted to its field's type."""
+    """Flat key = value document mirroring SimConfig field names, each key
+    set once.  Maps each key to its value, converted to its field's type,
+    and the number of the line that set it."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -61,7 +62,10 @@ def load_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _coerce(key, value, f"{path}:{lineno}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r} "
+                                 f"(first set on line {out[key][1]})")
+            out[key] = _coerce(key, value, f"{path}:{lineno}"), lineno
     return out
 
 
@@ -82,8 +86,10 @@ def _coerce(key: str, value: str, where: str):
 
 
 def build_config(args) -> SimConfig:
-    """Flags override config-file keys override defaults."""
-    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    """Flags override config-file keys override defaults.  A config-file
+    value that fails validation is reported with its file and line."""
+    lines = load_config_file(args.config) if getattr(args, "config", None) else {}
+    values = {key: value for key, (value, _) in lines.items()}
     flag_map = {
         "seed": args.seed,
         "server_capacity": args.capacity,
@@ -95,8 +101,16 @@ def build_config(args) -> SimConfig:
     for key, val in flag_map.items():
         if val is not None:
             values[key] = val
+            lines.pop(key, None)
     config = SimConfig(**values)
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as exc:
+        # Every `SimConfig.validate` message starts with the field it rejects.
+        key = str(exc).split(" ", 1)[0]
+        if key in lines:
+            raise ValueError(f"{args.config}:{lines[key][1]}: {exc}") from None
+        raise
     return config
 
 

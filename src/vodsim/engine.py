@@ -17,13 +17,24 @@ exactly and the arithmetic on them (`freeze_count += to_freeze`,
 `np.maximum(playback, target)`) gives the same bits as int64 columns would.
 The rows a departure reads, skipped to target, come last and in one run,
 and their last five, arrival to target, are the session log's fields in its
-order once waste takes target's place.  So a departure gathers one
-contiguous block, computes waste in the block's target row and appends the
-block's last five rows to the `SessionLog` as they are.
+order once waste takes target's place.  A departure copies that block of its
+sessions into a departure buffer of SETTLE_CHUNK sessions and prices
+nothing.  Settlement (`_settle`) computes the buffered sessions' waste in
+the block's target row in one pass, fills the `bw_wasted` of the slots they
+left in, each the one `np.add.reduce` of its departures' waste in
+departure order (`_group_sums`, as at unlimited capacity), and appends the
+block's last five rows to the `SessionLog` as they are.  It runs between
+slots, when the next slot's departures would overflow the buffer, and
+whenever `ledgers` or `sessions` is read; until then a slot's `bw_wasted`
+is NaN.
 Columns [0, n) are the n active sessions, oldest arrival first.  Admission
 writes the columns after them; playback and freeze updates are whole-row
-arithmetic over the first n columns, and a slot in which no session is
-frozen or freezes skips the freeze updates, which would change nothing.
+arithmetic over the first n columns.  A transition that no session takes
+would change no bit, so a slot skips it: the startup transition when no
+session is in startup, the freeze updates when no session is frozen or
+freezes, the `playing` mask of the consume test when every session plays,
+and the 0.0/1.0 consume step when every session consumes, which then
+subtracts and adds 1.0.
 `step` binds only the five rows every slot reads (buffer, state,
 downloaded, playback and target) and indexes skipped, freeze_count and
 freeze_time in the branches that update them.
@@ -63,7 +74,7 @@ target L (`_Trajectory`), and keeps that session's slab column at the end of
 each slot.  A session with target k follows it until its own departure slot
 d_k, the first in which playback reaches k or the download completes; both
 rows never decrease, so one search in each finds d_k, and the column of slot
-d_k with target k, through `_depart`'s waste code, is its logged row.
+d_k with target k, priced by settlement's `_waste`, is its logged row.
 `_run_unlimited` builds the slot table and session log from these with a
 few passes over the sessions and no loop over slots.  Each session's
 class is the run of constant `bw_used`, `playing` and `consumed` offsets
@@ -71,10 +82,10 @@ that holds its last offset; two histograms over (class, slot), of arrivals
 and of exits, give each run's session count per slot as one integer
 cumsum.  The log is ordered by departure slot and then by admission, as the
 slot loop appends it: one stable sort of the departure slots, a radix sort
-below 2**16 slots.  Each slot's
-`bw_wasted` is one `np.add.reduce` over its departures' waste, in that
-order, as `_depart` sums it; the slots with m departures are summed
-together, as the rows of one (slots, m) block (`_group_sums`).
+below 2**16 slots.  Each slot's `bw_wasted` is one `np.add.reduce` over its
+departures' waste, in that order, as settlement sums it; the slots with m
+departures are summed together, as the rows of one (slots, m) block
+(`_group_sums`).
 Every lifecycle rule is the slot loop's own.  The integer columns,
 `bw_wasted`, freeze mode's `consumed` and every session-log column equal the
 slot loop's bit for bit.  `bw_used` and skip mode's `consumed` sum over the
@@ -106,6 +117,9 @@ SLAB_ROWS = ("buffer", "state", "skipped", "downloaded", "arrival", "freeze_coun
 
 # Departure targets are drawn at least this many sessions at a time.
 TARGET_CHUNK = 4096
+# Sessions the departure buffer holds between two settlements; a slot with
+# more departures grows it.
+SETTLE_CHUNK = 4096
 
 # Fields of the slot table; `export_ledgers` writes the first six.  `playing`
 # counts playback attempts, `consumed` the slots played (fewer in skip mode).
@@ -191,7 +205,12 @@ class World:
         self._dep_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
         self.slot = 0
         self._table = np.zeros(0, dtype=SLOT_DTYPE)  # rows [0, slot) are written
-        self.sessions = SessionLog()  # departed sessions, in departure order
+        self._log = SessionLog()  # settled departures, in departure order
+        # The departure buffer: columns [0, _held) hold the slab rows skipped
+        # to target of the sessions that left in slots [_settled, slot).
+        self._pending = np.empty((len(SLAB_ROWS) - SKIPPED, SETTLE_CHUNK))
+        self._held = 0
+        self._settled = 0
         self._skip_mode = config.playback_model == "skip"
         # The config's scalars, read once rather than on every slot, with
         # the capacities in content seconds per slot.  A session has its
@@ -221,8 +240,15 @@ class World:
 
     @property
     def ledgers(self) -> np.recarray:
-        """The slot table so far, one row per slot, as a view."""
+        """The slot table so far, one row per slot, as a view; settles."""
+        self._settle()
         return self._table[: self.slot].view(np.recarray)
+
+    @property
+    def sessions(self) -> SessionLog:
+        """The departed sessions, in departure order; settles."""
+        self._settle()
+        return self._log
 
     def _admit(self, k: int) -> None:
         n, m = self._n, self._n + k
@@ -253,7 +279,8 @@ class World:
 
     def step(self, n_arrivals: int = 0) -> np.record:
         """Advance one slot: arrivals, allocation, download, playback,
-        departures.  Returns the slot's row of the slot table."""
+        departures.  Returns the slot's row of the slot table, whose
+        `bw_wasted` is NaN until the slot is settled."""
         # `type` rather than `isinstance`: bool is a subclass of int.
         if (type(n_arrivals) is not int and not isinstance(n_arrivals, np.integer)
                 or n_arrivals < 0):
@@ -261,12 +288,13 @@ class World:
         if n_arrivals:
             self._admit(n_arrivals)
         n = self._n
-        bw_used = bw_wasted = consumed = n_playing = departures = 0
+        bw_used = consumed = n_playing = departures = 0
         if n:
             rows = self._slab[:, :n]
             buffer, state, downloaded = rows[BUFFER], rows[STATE], rows[DOWNLOADED]
             playback, target = rows[PLAYBACK], rows[TARGET]
             in_startup = state == STARTUP
+            n_startup = np.count_nonzero(in_startup)
             # Sessions playing at the start of the slot are the ones that try
             # to consume: those leaving startup or a freeze resume next slot.
             playing = state == PLAYING
@@ -283,7 +311,8 @@ class World:
             buffer += rates
             downloaded += rates
 
-            state += in_startup & (buffer >= self._startup_threshold)  # STARTUP -> PLAYING
+            if n_startup:
+                state += in_startup & (buffer >= self._startup_threshold)  # STARTUP -> PLAYING
             n_playing = np.count_nonzero(playing)
             if self._skip_mode:
                 take = np.minimum(buffer[playing], 1.0)
@@ -295,15 +324,21 @@ class World:
                 # In a slot where no session is frozen or freezes, the freeze
                 # updates would add or subtract all-False masks, which leaves
                 # these nonnegative rows bit for bit; such a slot skips them.
-                n_frozen = n - n_playing - int(np.count_nonzero(in_startup))
+                n_frozen = n - n_playing - n_startup
                 if n_frozen:
                     exits = (state == FROZEN) & (buffer >= self._rebuffer_threshold)
                     state -= exits  # FROZEN -> PLAYING
-                consume = playing & (buffer > self._consume_above)
-                scratch[:] = consume  # the step as 0.0/1.0, cast once for both rows
-                buffer -= scratch
-                playback += scratch
+                consume = buffer > self._consume_above
+                if n_playing < n:
+                    consume &= playing
                 consumed = n_consumed = np.count_nonzero(consume)
+                if n_consumed == n:
+                    buffer -= 1.0
+                    playback += 1.0
+                else:
+                    scratch[:] = consume  # the step as 0.0/1.0, cast once for both rows
+                    buffer -= scratch
+                    playback += scratch
                 if n_consumed < n_playing:
                     to_freeze = playing ^ consume
                     state += to_freeze  # PLAYING -> FROZEN
@@ -316,27 +351,41 @@ class World:
             gone = departing.nonzero()[0]
             departures = gone.size
             if departures:
-                bw_wasted = self._depart(gone)
+                self._depart(gone)
         slot = self.slot
         if slot == self._table.size:
             self._table = np.concatenate((self._table, np.zeros(max(slot, 256), SLOT_DTYPE)))
-        self._table[slot] = (slot, n_arrivals, n, bw_used, bw_wasted, departures,
+        self._table[slot] = (slot, n_arrivals, n, bw_used, math.nan, departures,
                              n_playing, consumed)
         self.slot = slot + 1
         return self._table[slot]
 
-    def _depart(self, gone: np.ndarray) -> float:
-        """Log the sessions in columns `gone` (ascending), compact the slab
-        stably into the spare slab and swap the two; returns their waste."""
-        # Rows skipped, downloaded, arrival, freeze_count, freeze_time,
-        # playback and target; the last five are the log's fields once waste
-        # replaces target.
-        block = self._slab[SKIPPED:].take(gone, axis=1)
-        self._waste(block)
-        self.sessions.append(block[ARRIVAL - SKIPPED:])
+    def _depart(self, gone: np.ndarray) -> None:
+        """Buffer the sessions in columns `gone` (ascending), settling first
+        if they would overflow the buffer, then compact the slab stably into
+        the spare slab and swap the two."""
+        k = gone.size
+        if self._held + k > self._pending.shape[1]:
+            self._settle()
+            if k > self._pending.shape[1]:
+                self._pending = np.empty((len(SLAB_ROWS) - SKIPPED, k))
+        held = self._held
+        self._pending[:, held : held + k] = self._slab[SKIPPED:].take(gone, axis=1)
+        self._held = held + k
         self._n = _compact(self._slab, self._spare, self._n, gone)
         self._slab, self._spare = self._spare, self._slab
-        return float(np.add.reduce(block[-1]))
+
+    def _settle(self) -> None:
+        """Price the buffered departures, fill the `bw_wasted` of the slots
+        they left in and append them to the session log."""
+        block = self._pending[:, : self._held]
+        self._waste(block)
+        rows = self._table[self._settled : self.slot]
+        rows["bw_wasted"] = _group_sums(block[-1], rows["departures"].astype(np.intp))
+        # Rows arrival to target: the log's fields, waste in target's place.
+        self._log.append(block[ARRIVAL - SKIPPED :])
+        self._held = 0
+        self._settled = self.slot
 
     def _waste(self, block: np.ndarray) -> None:
         """Overwrite the target row of `block`, departing sessions' slab rows
@@ -372,9 +421,9 @@ class _Trajectory(World):
                 self._columns.append(self._slab[:, 0].copy())
         self.path = np.reshape(self._columns, (-1, len(SLAB_ROWS))).T
 
-    def _depart(self, gone: np.ndarray) -> float:
+    def _depart(self, gone: np.ndarray) -> None:
         self._columns.append(self._slab[:, 0].copy())
-        return super()._depart(gone)
+        super()._depart(gone)
 
     def read_off(self) -> tuple[np.ndarray, np.ndarray]:
         """d_k for each target k in 1..L, the slot in which a session with
@@ -575,14 +624,17 @@ def _run_unlimited(config: SimConfig, strategy: str, model: DepartureModel,
 
 def _group_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The sums of the consecutive groups of `values` whose sizes are
-    `counts`, each as the one `np.add.reduce` of its group that `_depart`
-    makes.  The groups of one size m are gathered into one C-contiguous
-    (groups, m) block and reduced along its rows, which numpy sums as it sums
-    a 1-D array of m; one reduction per distinct size, fewer than sqrt(2N)
-    for N values."""
+    `counts`, each bit for bit the one 1-D `np.add.reduce` of its group.
+    The groups of one size m are gathered into one C-contiguous (groups, m)
+    block and reduced along its rows, which numpy sums as it sums a 1-D
+    array of m; one reduction per distinct size, fewer than sqrt(2N) for N
+    values.  The sizes come from a `bincount`: the first `np.unique` call in
+    a process faults in about 1.6 MB."""
     sums = np.zeros(counts.size)
     first = np.cumsum(counts) - counts
-    for m in np.unique(counts[counts > 0]).tolist():
+    sizes = np.bincount(counts)
+    sizes[:1] = 0  # empty groups sum to 0.0
+    for m in np.flatnonzero(sizes).tolist():
         groups = np.flatnonzero(counts == m)
         sums[groups] = np.add.reduce(values[first[groups, None] + np.arange(m)], axis=1)
     return sums

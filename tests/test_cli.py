@@ -176,7 +176,7 @@ class TestInputErrors:
         code = _exit_code(["run", "--strategy", "be", "--config", str(cfg), *SMALL,
                            "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {cfg}:1: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("text, message", [
@@ -194,6 +194,31 @@ class TestInputErrors:
                            "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("duration = 10\nduration = 20", "2: duplicate config key 'duration' (first set on line 1)"),
+        ("seed = 1\n# note\nbitrate = 2\nseed = 1",
+         "4: duplicate config key 'seed' (first set on line 1)"),
+        ("seed = -1", "1: seed must be nonnegative, got -1"),
+        ("seed = 3\nplayback_model = bogus", "2: playback_model must be 'freeze' or 'skip'"),
+    ], ids=["duplicate", "duplicate-later", "seed", "playback-model"])
+    def test_config_file_error_names_file_and_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text + "\n")
+        code = _exit_code(["run", "--strategy", "be", "--config", str(cfg), *SMALL,
+                           "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_file_value_a_flag_overrides_is_not_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("seed = 3\nvideo_length = 0\n")
+        code = _exit_code(["run", "--strategy", "be", "--config", str(cfg),
+                           "--video-length", "-3", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: video_length must be positive\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", [
@@ -248,7 +273,7 @@ class TestInputErrors:
         code = _exit_code(["run", "--strategy", "be", "--config", str(cfg),
                            "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert (f"error: server_capacity must be positive, got {float(value)}"
+        assert (f"error: {cfg}:1: server_capacity must be positive, got {float(value)}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 

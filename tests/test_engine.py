@@ -349,12 +349,18 @@ class TestConfigValidation:
 class TestSlotTable:
     def test_stepping_past_duration_keeps_every_row(self):
         # The table grows with the slots stepped, not with config.duration;
-        # 300 slots outgrow its first block.
+        # 300 slots outgrow its first block.  A row's bw_wasted is NaN when
+        # `step` returns it and is settled when `ledgers` is read; every
+        # other field keeps the bytes `step` returned.
         cfg = SimConfig(server_capacity=10.0, video_length=20, duration=5, warmup=0)
         world = World(cfg, "be", behavior.DepartureModel.synthetic(L=20))
         rows = b"".join(world.step(i % 3).tobytes() for i in range(300))
+        stepped = np.frombuffer(rows, engine.SLOT_DTYPE).copy()
+        assert np.isnan(stepped["bw_wasted"]).all()
         ledgers = world.ledgers
-        assert ledgers.tobytes() == rows
+        _assert_wasted_is_each_slots_logged_waste(ledgers, world.sessions)
+        stepped["bw_wasted"] = ledgers.bw_wasted
+        assert ledgers.tobytes() == stepped.tobytes()
         assert np.array_equal(ledgers.slot, np.arange(300))
         assert np.array_equal(ledgers.arrivals, np.arange(300) % 3)
         assert ledgers.departures.sum() > 0
@@ -364,6 +370,17 @@ class TestSlotTable:
         path = tmp_path / "ledger.csv"
         engine.export_ledgers(world.ledgers, path)
         assert path.read_text() == engine.LEDGER_HEADER + "\n"
+
+
+def _assert_wasted_is_each_slots_logged_waste(ledgers, log):
+    """Each slot's bw_wasted is, bit for bit, the one `np.add.reduce` of the
+    waste its departures logged, in log order; 0.0 in a slot with none."""
+    waste = log.columns[-1]
+    counts = ledgers.departures.astype(int)
+    assert counts.sum() == waste.size
+    ends = np.cumsum(counts).tolist()
+    want = np.array([np.add.reduce(waste[e - m : e]) for e, m in zip(ends, counts.tolist())])
+    assert ledgers.bw_wasted.tobytes() == want.tobytes()
 
 
 def _reference_session(cfg, name, model, target):
@@ -813,7 +830,7 @@ class TestCompaction:
 
     @pytest.mark.parametrize("mode", ["freeze", "skip"])
     def test_logged_fields_are_the_named_rows(self, mode):
-        # `_depart` logs a slice of the slab's rows; each logged field must
+        # A departure logs a slice of the slab's rows; each logged field must
         # come from the row of its name, whatever the row order.  The filled
         # values in [0, 1) are taken as bandwidth: downloaded holds content
         # seconds, so it is divided by the bitrate.
@@ -822,7 +839,7 @@ class TestCompaction:
         _columns(world)["downloaded"] /= bitrate
         rows = _columns(world, copy=True)
         gone = np.array([0, 6, 7, 21, 39])
-        wasted = world._depart(gone)
+        world._depart(gone)
         logged = dict(zip(metrics.SessionLog.FIELDS, world.sessions.columns))
         assert np.array_equal(logged["arrival_slot"], rows["arrival"][gone])
         assert np.array_equal(logged["freeze_count"], rows["freeze_count"][gone])
@@ -835,7 +852,17 @@ class TestCompaction:
         waste = np.maximum(rows["downloaded"] - viewed, 0.0)[gone] * bitrate
         assert np.count_nonzero(waste) >= 3
         assert np.array_equal(logged["waste"], waste)
-        assert wasted == float(waste.sum())
+        # A stepped slot's bw_wasted, read through `ledgers`, sums the waste
+        # its departures logged; slots with several wasting departures show
+        # the order of the sum.
+        cfg = SimConfig(bitrate=bitrate, access_cap=2 * bitrate, server_capacity=10 * bitrate,
+                        video_length=20, playback_model=mode)
+        world = World(cfg, "be", behavior.DepartureModel.synthetic(L=20))
+        for i in range(200):
+            world.step(i % 5)
+        ledgers = world.ledgers
+        assert ((ledgers.departures >= 3) & (ledgers.bw_wasted > 0)).sum() >= 3
+        _assert_wasted_is_each_slots_logged_waste(ledgers, world.sessions)
 
     def test_grow_right_after_a_swap(self):
         # A departure swaps the slab with its spare; growing the slab next
@@ -861,6 +888,112 @@ class TestCompaction:
         keep = ~np.isin(np.arange(65), gone)
         for name, column in _columns(world).items():
             assert np.array_equal(column, grown[name][keep])
+
+
+class _PricedPerSlot(World):
+    """The oracle for settlement: a `World` that also prices each departing
+    block in its own slot, as the slot loop did before departures were
+    settled in batches: `_waste` on the slot's block and one
+    `np.add.reduce` of its waste."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.wasted = {}
+        self.blocks = [np.zeros((len(metrics.SessionLog.FIELDS), 0))]
+
+    def _depart(self, gone):
+        block = self._slab[engine.SKIPPED :].take(gone, axis=1)
+        self._waste(block)
+        self.blocks.append(block[engine.ARRIVAL - engine.SKIPPED :])
+        self.wasted[self.slot] = float(np.add.reduce(block[-1]))
+        super()._depart(gone)
+
+    def assert_settled_alike(self):
+        ledgers = self.ledgers
+        want = np.zeros(self.slot)
+        for slot, wasted in self.wasted.items():
+            want[slot] = wasted
+        assert ledgers.bw_wasted.tobytes() == want.tobytes()
+        assert self.sessions.columns.tobytes() == np.concatenate(self.blocks, axis=1).tobytes()
+        return ledgers
+
+
+def _stepped_world(world, counts, read_every=0):
+    """`world` stepped over `counts`, its slot table and session log read
+    every `read_every` slots (never for 0)."""
+    for i, c in enumerate(counts, start=1):
+        world.step(int(c))
+        if read_every and i % read_every == 0:
+            assert not np.isnan(world.ledgers.bw_wasted).any()
+            assert len(world.sessions) == world.ledgers.departures.sum()
+    return world
+
+
+def _overloaded_counts(rho, slots=400, L=60, seed=7):
+    model = behavior.DepartureModel.synthetic(L=L)
+    lam = load_to_arrival_rate(rho, 40.0, L, 1.0, model.mean_viewing_ratio)
+    return model, arrivals.ArrivalProcess.poisson(lam).generate(slots, np.random.default_rng(seed))
+
+
+class TestSettlement:
+    """Departures are buffered and priced in batches, yet every slot's
+    bw_wasted and every logged row carry the bits that pricing each slot's
+    departures in that slot gives, whenever settlement runs."""
+
+    CASES = list(itertools.product(["freeze", "skip"], [0.3, 1.0, 2.5], [0.5, 0.995, 1.2]))
+
+    @pytest.mark.parametrize("i", range(len(CASES)),
+                             ids=["-".join(map(str, case)) for case in CASES])
+    def test_matches_pricing_per_slot(self, i):
+        mode, bitrate, rho = self.CASES[i]
+        model, counts = _overloaded_counts(rho)
+        cfg = SimConfig(bitrate=bitrate, access_cap=2.0 * bitrate,
+                        server_capacity=40.0 * bitrate, video_length=60, playback_model=mode,
+                        seed=i)
+        world = _stepped_world(_PricedPerSlot(cfg, STRATEGY_NAMES[i % 6], model), counts)
+        ledgers = world.assert_settled_alike()
+        assert ledgers.departures.max() >= 3 and ledgers.bw_wasted.sum() > 0
+
+    @pytest.mark.parametrize("mode", ["freeze", "skip"])
+    def test_chunk_size_changes_no_byte(self, mode):
+        # A chunk of 1 settles before every slot with a departure and grows
+        # for a slot with more; 7 settles every few slots; 4096 never
+        # settles before the end of this run.
+        model, counts = _overloaded_counts(1.2)
+        cfg = SimConfig(server_capacity=40.0, video_length=60, playback_model=mode, duration=400,
+                        warmup=0, seed=3)
+        process = arrivals.ArrivalProcess.trace(counts)
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            for chunk in (1, 7, 4096):
+                mp.setattr(engine, "SETTLE_CHUNK", chunk)
+                result = engine.run(cfg, "eb", process, model)
+                results.append((result.ledgers.tobytes(), result.sessions.columns.tobytes(),
+                                result.report))
+                departures = result.ledgers.departures
+        assert departures.max() > 1 and 7 < departures.sum() < 4096
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("every", [1, 13, 100])
+    def test_reading_mid_run_changes_no_byte(self, every):
+        model, counts = _overloaded_counts(0.995)
+        cfg = SimConfig(server_capacity=40.0, video_length=60, seed=4)
+        read = _stepped_world(World(cfg, "bb", model), counts, read_every=every)
+        unread = _stepped_world(World(cfg, "bb", model), counts)
+        assert read.ledgers.tobytes() == unread.ledgers.tobytes()
+        assert read.sessions.columns.tobytes() == unread.sessions.columns.tobytes()
+
+    @pytest.mark.parametrize("mode", ["freeze", "skip"])
+    def test_a_slot_departing_more_than_the_buffer_holds(self, mode):
+        # 5000 sessions of a three-slot video arrive together and all leave
+        # when their downloads complete, most of them with waste, in one
+        # slot: more than the buffer holds, settled with the slots before.
+        cfg = SimConfig(server_capacity=1e5, video_length=3, playback_model=mode, seed=2)
+        world = _PricedPerSlot(cfg, "be", behavior.DepartureModel.synthetic(L=3))
+        _stepped_world(world, [1, 0, 2, 5000, 0, 0, 0])
+        ledgers = world.assert_settled_alike()
+        assert ledgers.departures.max() > engine.SETTLE_CHUNK
+        assert ledgers.departures[:3].sum() > 0 and ledgers.bw_wasted.max() > 0
 
 
 class TestDepartureTargets:

@@ -88,8 +88,8 @@ def _coerce(key: str, value: str, where: str):
 def build_config(args) -> SimConfig:
     """Flags override config-file keys override defaults.  A config-file
     value that fails validation is reported with its file and line."""
-    lines = load_config_file(args.config) if getattr(args, "config", None) else {}
-    values = {key: value for key, (value, _) in lines.items()}
+    entries = load_config_file(args.config) if getattr(args, "config", None) else {}
+    values = {key: value for key, (value, _) in entries.items()}
     flag_map = {
         "seed": args.seed,
         "server_capacity": args.capacity,
@@ -101,15 +101,15 @@ def build_config(args) -> SimConfig:
     for key, val in flag_map.items():
         if val is not None:
             values[key] = val
-            lines.pop(key, None)
+            entries.pop(key, None)
     config = SimConfig(**values)
     try:
         config.validate()
     except ValueError as exc:
         # Every `SimConfig.validate` message starts with the field it rejects.
         key = str(exc).split(" ", 1)[0]
-        if key in lines:
-            raise ValueError(f"{args.config}:{lines[key][1]}: {exc}") from None
+        if key in entries:
+            raise ValueError(f"{args.config}:{entries[key][1]}: {exc}") from None
         raise
     return config
 

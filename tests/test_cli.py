@@ -184,6 +184,12 @@ class TestInputErrors:
         ("bitrate = fast", "bitrate must be a number, got 'fast'"),
         ("seed = 3\n\nserver_capacity = lots",
          "server_capacity must be a number or 'unlimited', got 'lots'"),
+        # A repeated key, and values that parse but fail validation.
+        ("duration = 10\nduration = 20", "duplicate config key 'duration' (first set on line 1)"),
+        ("seed = 1\n# note\nbitrate = 2\nseed = 1",
+         "duplicate config key 'seed' (first set on line 1)"),
+        ("seed = -1", "seed must be nonnegative, got -1"),
+        ("seed = 3\nplayback_model = bogus", "playback_model must be 'freeze' or 'skip'"),
     ])
     def test_config_file_value_error_names_file_line_and_key(self, tmp_path, capsys, text,
                                                             message):
@@ -194,22 +200,6 @@ class TestInputErrors:
                            "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
-        assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize("text, message", [
-        ("duration = 10\nduration = 20", "2: duplicate config key 'duration' (first set on line 1)"),
-        ("seed = 1\n# note\nbitrate = 2\nseed = 1",
-         "4: duplicate config key 'seed' (first set on line 1)"),
-        ("seed = -1", "1: seed must be nonnegative, got -1"),
-        ("seed = 3\nplayback_model = bogus", "2: playback_model must be 'freeze' or 'skip'"),
-    ], ids=["duplicate", "duplicate-later", "seed", "playback-model"])
-    def test_config_file_error_names_file_and_line(self, tmp_path, capsys, text, message):
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text(text + "\n")
-        code = _exit_code(["run", "--strategy", "be", "--config", str(cfg), *SMALL,
-                           "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_config_file_value_a_flag_overrides_is_not_reported(self, tmp_path, capsys):

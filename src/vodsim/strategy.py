@@ -6,7 +6,9 @@ per slot, BE at the access link, EB water-fills projected next-slot buffers,
 EW water-fills hazard-weighted buffers, and BB pins browsing-phase users to
 one second of video per slot and serves the rest best-effort (falling back
 to plain BE when the reservation would starve the viewing users).  sc, sc+,
-be and bb sort their caps (`_fair_fill`); eb and ew search for their level
+be and bb sort their caps and sweep them up to the first copy of the
+largest (`_fair_fill`), so a pool whose caps mostly tie at the access cap
+costs a sweep over the few below it; eb and ew search for their level
 (`_level_fill`).  Rates, caps and the capacity are all in content seconds
 per slot: the engine converts to and from bandwidth.
 
@@ -160,26 +162,32 @@ def _fair_fill(caps, budget):
 
     Its breakpoints are n zeros followed by the caps, so only the n caps are
     sorted: below the smallest cap all n users rise together, and each cap
-    passed leaves one user fewer.  Caps must be >= 0.  Returns (x, level) as
-    `_level_fill` does.
+    passed leaves one user fewer.  The sweep stops at the first copy of the
+    largest cap, sorted position m - 1: every later gap is 0, so the
+    cumulative spend is flat from there on, its first m sums are the full
+    sweep's bit for bit, and the budget passes all m exactly when it passes
+    all n.  Caps must be >= 0.  Returns (x, level) as `_level_fill` does.
     """
     caps = np.asarray(caps, dtype=float)
     n = caps.size
     if n == 0:
         return np.zeros(0), math.inf
-    if budget >= float(caps.sum()):
+    if budget >= float(np.add.reduce(caps)):
         return caps.copy(), math.inf
     if budget <= 0.0:
         return np.zeros(n), 0.0
-    pts = np.sort(caps)
-    slope = np.arange(n, 0, -1, dtype=float)  # users still below each cap
+    pts = caps.copy()
+    pts.sort()
+    m = int(pts.searchsorted(pts[-1], "left")) + 1
+    slope = np.arange(n, n - m, -1, dtype=float)  # users still below each cap
     # Cumulative capacity spent to raise the level up to each sorted cap.
-    gaps = np.empty(n)
-    gaps[0] = pts[0]
-    np.subtract(pts[1:], pts[:-1], out=gaps[1:])
-    spent = np.cumsum(slope * gaps)
-    k = int(np.searchsorted(spent, budget, side="right"))
-    if k >= n:
+    spent = np.empty(m)
+    spent[0] = pts[0]
+    np.subtract(pts[1:m], pts[:m - 1], out=spent[1:])
+    np.multiply(spent, slope, out=spent)
+    np.add.accumulate(spent, out=spent)
+    k = int(spent.searchsorted(budget, "right"))
+    if k >= m:
         return caps.copy(), math.inf
     base, spent_k = (pts[k - 1], spent[k - 1]) if k else (0.0, 0.0)
     level = base + (budget - spent_k) / slope[k]
@@ -217,7 +225,8 @@ def _buffer_fill(
         if C >= np.add.reduce(caps):
             return caps.copy(), math.inf
         if weights is not None and weights.size:
-            weights = weights / weights.max()  # scale-invariant; constant weights become 1.0
+            # scale-invariant; constant weights become 1.0
+            weights = weights / np.maximum.reduce(weights)
         return _binding_fill(pool.buffer - pool.playing, weights, caps, C, guess)
     floors = pool.buffer - pool.playing
     pos = weights > 0
@@ -226,7 +235,8 @@ def _buffer_fill(
         # The positive-weight users' caps overspend C in their order or the pool's.
         w = weights[pos]
         out = np.zeros(floors.size)
-        out[pos], level = _binding_fill(floors[pos], w / w.max(), caps[pos], C, guess)
+        out[pos], level = _binding_fill(floors[pos], w / np.maximum.reduce(w), caps[pos], C,
+                                        guess)
         return out, level
     if not C > 0.0:
         return np.zeros(floors.size), math.inf
@@ -274,22 +284,22 @@ def bb_rates(pool: PoolState, C: float, browse_slots: int) -> np.ndarray:
     viewing.  When every demand fits in C, each session gets its demand."""
     browsing = (~pool.in_startup) & (pool.viewed < browse_slots)
     rates = np.where(browsing, np.minimum(pool.cap, 1.0), pool.cap)
-    if C >= rates.sum():
+    if C >= np.add.reduce(rates):
         return rates
-    if not browsing.any():
-        return be_rates(pool, C)
     d_browse = rates[browsing]
-    reserved = float(d_browse.sum())
+    if d_browse.size == 0:
+        return be_rates(pool, C)
+    reserved = float(np.add.reduce(d_browse))
     if reserved > C:
         d_browse *= C / reserved  # degenerate overload: equal scale-down
         rates[browsing] = d_browse
-        reserved = float(d_browse.sum())
-    others = ~browsing
-    if not others.any():
+        reserved = float(np.add.reduce(d_browse))
+    if d_browse.size == rates.size:
         return rates
+    others = ~browsing
     residual = max(C - reserved, 0.0)
     x, level = _fair_fill(pool.cap[others], residual)
-    if level < float(d_browse.max()):
+    if level < float(np.maximum.reduce(d_browse)):
         return be_rates(pool, C)
     rates[others] = x
     return rates

@@ -87,7 +87,8 @@ def _coerce(key: str, value: str, where: str):
 
 def build_config(args) -> SimConfig:
     """Flags override config-file keys override defaults.  A config-file
-    value that fails validation is reported with its file and line."""
+    value that fails validation is reported with its file and line; when
+    the message names two fields the file set, with the later line."""
     entries = load_config_file(args.config) if getattr(args, "config", None) else {}
     values = {key: value for key, (value, _) in entries.items()}
     flag_map = {
@@ -106,10 +107,13 @@ def build_config(args) -> SimConfig:
     try:
         config.validate()
     except ValueError as exc:
-        # Every `SimConfig.validate` message starts with the field it rejects.
-        key = str(exc).split(" ", 1)[0]
-        if key in entries:
-            raise ValueError(f"{args.config}:{entries[key][1]}: {exc}") from None
+        # Every `SimConfig.validate` message starts with the field it rejects,
+        # and one that compares two fields names the other after it; the
+        # rejected value, after ", got", names none.
+        named = [word for word in str(exc).split(", got", 1)[0].split() if word in entries]
+        if named:
+            line = max(entries[key][1] for key in named)
+            raise ValueError(f"{args.config}:{line}: {exc}") from None
         raise
     return config
 

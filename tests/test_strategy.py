@@ -92,6 +92,31 @@ def _sorted_level_fill(floors, weights, caps, budget):
     return np.clip(level / w - floors, 0.0, caps), float(level)
 
 
+@st.composite
+def _engine_caps(draw):
+    """Caps shaped like the engine's: most sessions at the top cap (the
+    default access cap 2.0, or sc's 1.0) and a few below it, limited by
+    their remaining demand or by a zero cap.  Returns (caps, m), m one past
+    the first copy of the largest cap in sorted order."""
+    n = draw(st.integers(min_value=1, max_value=2000) | st.integers(min_value=500, max_value=2000))
+    top = draw(st.sampled_from([2.0, 1.0]) | st.floats(min_value=0.0, max_value=10.0))
+    shape = draw(st.sampled_from(["long top run", "long top run", "top run of one", "all equal"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if shape == "all equal" or top == 0.0 or n == 1:
+        caps = np.full(n, top)
+    else:
+        below = n - 1 if shape == "top run of one" else int(rng.integers(1, n // 4 + 2))
+        low = rng.uniform(0.0, top, below)
+        # Ties below the top, and zero caps, as finished downloads leave them.
+        kind = rng.integers(0, 4, below)
+        low[kind == 0] = 0.0
+        low[kind == 1] = low[0]
+        caps = np.concatenate((low, np.full(n - below, top)))
+        rng.shuffle(caps)
+    m = n - int(np.count_nonzero(caps == caps.max())) + 1
+    return caps, m
+
+
 class TestFairFill:
     """`_fair_fill` is the sorted level fill with zero floors and unit
     weights, bit for bit."""
@@ -114,6 +139,25 @@ class TestFairFill:
         x, level = _fair_fill(caps, budget)
         assert np.array_equal(x, x_ref)
         assert level == level_ref
+
+    @given(_engine_caps(), st.sampled_from(["total", "interior", "share"]),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_level_fill_on_engine_pools(self, case, where, share):
+        # The sweep stops at the first copy of the largest cap; budgets at
+        # the full sweep's spend values land on its breakpoints, where the
+        # cut-off must give the full sweep's bits.
+        caps, m = case
+        n = caps.size
+        pts = np.sort(caps)
+        spent = np.cumsum(np.arange(n, 0, -1, dtype=float) * np.diff(pts, prepend=0.0))
+        budget = {
+            "total": spent[-1],
+            "interior": spent[int(share * (m - 1))],
+            "share": share * float(np.add.reduce(caps)),
+        }[where]
+        x_ref, level_ref = _sorted_level_fill(np.zeros(n), None, caps, float(budget))
+        assert _bits(*_fair_fill(caps, float(budget))) == _bits(x_ref, level_ref)
 
 
 # Buffers, caps and weights for the lean fill paths.  Buffer 0 with
@@ -496,6 +540,26 @@ class TestFitContract:
         # scale-down when the reservations alone exceed C, and its be
         # fallback, bit for bit.
         pool, _ = _contract_case(case)
+        total = float(_demand("bb", pool).sum())
+        C = share * total
+        assume(C < total)
+        rates = bb_rates(pool, C, BROWSE_SLOTS)
+        assert rates.tobytes() == _bb_parent(pool, C, BROWSE_SLOTS).tobytes()
+
+    @given(_engine_caps(), st.integers(min_value=200, max_value=1000),
+           st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+           st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=0.2),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bb_binding_paths_unchanged_on_engine_pools(self, case, n, browse, startup,
+                                                         share):
+        # The same on pools of the engine's size, from no browsing session
+        # to all of them.
+        caps = np.resize(case[0], n)
+        rng = np.random.default_rng(n)
+        viewed = np.where(rng.random(n) < browse, rng.integers(0, BROWSE_SLOTS, n),
+                          rng.integers(BROWSE_SLOTS, L, n))
+        pool = _pool(caps=caps, viewed=viewed, in_startup=rng.random(n) < startup)
         total = float(_demand("bb", pool).sum())
         C = share * total
         assume(C < total)

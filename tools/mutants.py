@@ -1,7 +1,7 @@
 """Mutation check: apply each listed mutant to an exported copy of the
 sources and run the tests that should catch it.
 
-    python tools/mutants.py [--rev REV] [--only NAME ...] [--list]
+    python tools/mutants.py [--rev REV] [--only NAME ...]
 
 The tree at REV (default HEAD) is exported with `git archive` into a
 temporary directory.  Each mutant is one text substitution in one file,
@@ -162,13 +162,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to export (default HEAD)")
     parser.add_argument("--only", nargs="+", metavar="NAME", help="run the mutants with these names")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
     mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name}  [{m.path}]{'  (equivalent)' if m.equivalent else ''}")
-        return 0
     if args.only and len(mutants) != len(set(args.only)):
         parser.error(f"unknown mutant among {args.only}")
     with tempfile.TemporaryDirectory(prefix="vodsim-mutants-") as tmp:

@@ -225,8 +225,7 @@ def _buffer_fill(
         if C >= np.add.reduce(caps):
             return caps.copy(), math.inf
         if weights is not None and weights.size:
-            # scale-invariant; constant weights become 1.0
-            weights = weights / np.maximum.reduce(weights)
+            weights = weights / weights.max()  # scale-invariant; constant weights become 1.0
         return _binding_fill(pool.buffer - pool.playing, weights, caps, C, guess)
     floors = pool.buffer - pool.playing
     pos = weights > 0
@@ -235,8 +234,7 @@ def _buffer_fill(
         # The positive-weight users' caps overspend C in their order or the pool's.
         w = weights[pos]
         out = np.zeros(floors.size)
-        out[pos], level = _binding_fill(floors[pos], w / np.maximum.reduce(w), caps[pos], C,
-                                        guess)
+        out[pos], level = _binding_fill(floors[pos], w / w.max(), caps[pos], C, guess)
         return out, level
     if not C > 0.0:
         return np.zeros(floors.size), math.inf

@@ -1,15 +1,15 @@
 """Mutation check: apply each listed mutant to an exported copy of the
 sources and run the tests that should catch it.
 
-    python tools/mutants.py [--rev REV] [--only NAME ...]
+    python tools/mutants.py [--only NAME ...]
 
-The tree at REV (default HEAD) is exported with `git archive` into a
+The committed tree (HEAD) is exported with `git archive` into a
 temporary directory.  Each mutant is one text substitution in one file,
 which must match exactly once; it is applied, the mutant's test files run
 under `pytest -x`, and the file is restored.  One line per mutant says
 whether it was caught, with the first failing test, or survived.  Mutants
 known to be equivalent (no input tells them apart from the real code) are
-run too and reported as such.  The exit status is 1 if any other mutant
+not run unless named with --only; their reason is printed instead.  The exit status is 1 if any other mutant
 survives, and 2 if a substitution no longer matches the sources.
 
 Each rule that a change adds or relies on gets its mutant here.  Running
@@ -160,7 +160,6 @@ def _run(tree: Path, mutant: Mutant) -> tuple[bool, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rev", default="HEAD", help="git revision to export (default HEAD)")
     parser.add_argument("--only", nargs="+", metavar="NAME", help="run the mutants with these names")
     args = parser.parse_args(argv)
     mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
@@ -168,7 +167,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown mutant among {args.only}")
     with tempfile.TemporaryDirectory(prefix="vodsim-mutants-") as tmp:
         tree = Path(tmp)
-        _export(args.rev, tree)
+        _export("HEAD", tree)
         stale = [m.name for m in mutants if (tree / m.path).read_text().count(m.old) != 1]
         if stale:
             for name in stale:
@@ -177,6 +176,9 @@ def main(argv=None) -> int:
             return 2
         survivors = 0
         for m in mutants:
+            if m.equivalent and not args.only:
+                print(f"equivalent          {m.name}: {m.equivalent}", flush=True)
+                continue
             path = tree / m.path
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
@@ -187,8 +189,7 @@ def main(argv=None) -> int:
                 path.write_text(original)
             took = f"{time.perf_counter() - start:5.1f}s"
             if caught:
-                verdict = "caught (equivalent?)" if m.equivalent else "caught"
-                print(f"{verdict:10s} {took}  {m.name}: {first}", flush=True)
+                print(f"caught     {took}  {m.name}: {first}", flush=True)
             elif m.equivalent:
                 print(f"equivalent {took}  {m.name}: {m.equivalent}", flush=True)
             else:

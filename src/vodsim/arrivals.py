@@ -93,14 +93,22 @@ class ArrivalProcess:
 
 
 def load_trace(path, scale: float = 1.0) -> ArrivalProcess:
-    """Parse a trace file; reports the offending line on errors."""
+    """Parse a trace file: one count per data row, or a `slot,count` row
+    whose slot is the row's position among the data rows (0, 1, 2, ...).
+    `#` starts a comment.  Reports the offending line on errors."""
     counts = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            field = line.split(",")[-1] if "," in line else line
+            field = line
+            if "," in line:
+                slot, _, field = line.rpartition(",")
+                if not (slot.strip().isdecimal() and int(slot) == len(counts)):
+                    raise ValueError(
+                        f"{path}:{lineno}: expected 'slot,count' with slot {len(counts)}, "
+                        f"got {line!r}")
             try:
                 value = int(field)
             except ValueError as exc:

@@ -17,16 +17,16 @@ exactly and the arithmetic on them (`freeze_count += to_freeze`,
 `np.maximum(playback, target)`) gives the same bits as int64 columns would.
 The rows a departure reads, skipped to target, come last and in one run,
 and their last five, arrival to target, are the session log's fields in its
-order once waste takes target's place.  A departure copies that block of its
-sessions into a departure buffer of SETTLE_CHUNK sessions and prices
-nothing.  Settlement (`_settle`) computes the buffered sessions' waste in
-the block's target row in one pass, fills the `bw_wasted` of the slots they
-left in, each the one `np.add.reduce` of its departures' waste in
-departure order (`_group_sums`, as at unlimited capacity), and appends the
-block's last five rows to the `SessionLog` as they are.  It runs between
-slots, when the next slot's departures would overflow the buffer, and
-whenever `ledgers` or `sessions` is read; until then a slot's `bw_wasted`
-is NaN.
+order once waste takes target's place.  A departure copies those rows of its
+sessions into the next columns of the departed block, which grows like the
+slab, and prices nothing.  Settlement (`_settle`) computes the waste of the
+sessions departed since the last settlement in the block's target row in
+one pass and fills the `bw_wasted` of the slots they left in, each the one
+`np.add.reduce` of its departures' waste in departure order (`_group_sums`,
+as at unlimited capacity).  It runs whenever `ledgers` or `sessions` is
+read; until then a slot's `bw_wasted` is NaN.  The session log is a view of
+the block's last five rows over the sessions departed so far, columns that
+no later slot writes.
 Columns [0, n) are the n active sessions, oldest arrival first.  Admission
 writes the columns after them; playback and freeze updates are whole-row
 arithmetic over the first n columns.  A transition that no session takes
@@ -50,16 +50,16 @@ No allocator's result shares memory with the pool it was given, and none
 keeps the pool, so once the allocator returns `step` reuses the pool's `cap`
 row as scratch (for the 0.0/1.0 consumed step) and writes the departure test
 into the startup and playing masks.
-One scan of that test finds the departing columns.  After the log append,
-a departure copies the survivors into a spare slab of the same shape, the
-prefix before the first gap and then each run of survivors, one slice per
-run, and swaps the two slabs, so no copy overlaps its source.
+One scan of that test finds the departing columns.  After the copy to the
+departed block, a departure copies the survivors into a spare slab of the
+same shape, the prefix before the first gap and then each run of survivors,
+one slice per run, and swaps the two slabs, so no copy overlaps its source.
 The survivors keep their relative order, and that order must stay stable:
 it is the allocators' tie order and the order of the float sums, so any
 reordering changes the output bytes.
 
 Each slot's accounting is row `slot` of the slot table, a record array with
-the fields SLOT_FIELDS that grows geometrically like the session log.  Every
+the fields SLOT_FIELDS that grows geometrically like the slab.  Every
 field is float64, as in the slab: the counts stay exact, a row is written
 with one tuple assignment, and the counts a row hands out are floats, which
 `json.dumps` takes as they are.
@@ -117,9 +117,6 @@ SLAB_ROWS = ("buffer", "state", "skipped", "downloaded", "arrival", "freeze_coun
 
 # Departure targets are drawn at least this many sessions at a time.
 TARGET_CHUNK = 4096
-# Sessions the departure buffer holds between two settlements; a slot with
-# more departures grows it.
-SETTLE_CHUNK = 4096
 
 # Fields of the slot table; `export_ledgers` writes the first six.  `playing`
 # counts playback attempts, `consumed` the slots played (fewer in skip mode).
@@ -205,12 +202,12 @@ class World:
         self._dep_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
         self.slot = 0
         self._table = np.zeros(0, dtype=SLOT_DTYPE)  # rows [0, slot) are written
-        self._log = SessionLog()  # settled departures, in departure order
-        # The departure buffer: columns [0, _held) hold the slab rows skipped
-        # to target of the sessions that left in slots [_settled, slot).
-        self._pending = np.empty((len(SLAB_ROWS) - SKIPPED, SETTLE_CHUNK))
-        self._held = 0
-        self._settled = 0
+        # The departed block: columns [0, _held) hold the slab rows skipped
+        # to target of the departed sessions, in departure order.  The first
+        # _priced hold their waste in target's place, and the slots before
+        # _settled their bw_wasted.
+        self._departed = np.empty((len(SLAB_ROWS) - SKIPPED, 256))
+        self._held = self._priced = self._settled = 0
         self._skip_mode = config.playback_model == "skip"
         # The config's scalars, read once rather than on every slot, with
         # the capacities in content seconds per slot.  A session has its
@@ -246,9 +243,10 @@ class World:
 
     @property
     def sessions(self) -> SessionLog:
-        """The departed sessions, in departure order; settles."""
+        """The departed sessions, in departure order, as a view of the
+        departed block; settles."""
         self._settle()
-        return self._log
+        return SessionLog(self._departed[ARRIVAL - SKIPPED :, : self._held])
 
     def _admit(self, k: int) -> None:
         n, m = self._n, self._n + k
@@ -361,30 +359,27 @@ class World:
         return self._table[slot]
 
     def _depart(self, gone: np.ndarray) -> None:
-        """Buffer the sessions in columns `gone` (ascending), settling first
-        if they would overflow the buffer, then compact the slab stably into
-        the spare slab and swap the two."""
-        k = gone.size
-        if self._held + k > self._pending.shape[1]:
-            self._settle()
-            if k > self._pending.shape[1]:
-                self._pending = np.empty((len(SLAB_ROWS) - SKIPPED, k))
-        held = self._held
-        self._pending[:, held : held + k] = self._slab[SKIPPED:].take(gone, axis=1)
-        self._held = held + k
+        """Copy the sessions in columns `gone` (ascending) to the departed
+        block, growing it if need be, then compact the slab stably into the
+        spare slab and swap the two."""
+        held, m = self._held, self._held + gone.size
+        if m > self._departed.shape[1]:
+            grown = np.empty((len(SLAB_ROWS) - SKIPPED, max(m, 2 * self._departed.shape[1])))
+            grown[:, :held] = self._departed[:, :held]
+            self._departed = grown
+        self._departed[:, held:m] = self._slab[SKIPPED:].take(gone, axis=1)
+        self._held = m
         self._n = _compact(self._slab, self._spare, self._n, gone)
         self._slab, self._spare = self._spare, self._slab
 
     def _settle(self) -> None:
-        """Price the buffered departures, fill the `bw_wasted` of the slots
-        they left in and append them to the session log."""
-        block = self._pending[:, : self._held]
+        """Price the departures not yet priced and fill the `bw_wasted` of
+        the slots they left in."""
+        block = self._departed[:, self._priced : self._held]
         self._waste(block)
         rows = self._table[self._settled : self.slot]
         rows["bw_wasted"] = _group_sums(block[-1], rows["departures"].astype(np.intp))
-        # Rows arrival to target: the log's fields, waste in target's place.
-        self._log.append(block[ARRIVAL - SKIPPED :])
-        self._held = 0
+        self._priced = self._held
         self._settled = self.slot
 
     def _waste(self, block: np.ndarray) -> None:
@@ -510,7 +505,8 @@ def run(
         for c in counts:
             world.step(int(c))
         ledgers = world.ledgers
-        sessions = world.sessions.select(world.sessions.columns[0] >= w)
+        log = world.sessions
+        sessions = log.select(log.columns[0] >= w)
     report = aggregate(sessions, ledgers.bw_used[w:])
     return RunResult(
         strategy=strategy,

@@ -17,39 +17,23 @@ class SessionLog:
     """Per-session QoE facts, reported at departure, as columns in departure
     order, one row per field of `FIELDS`.  freeze_time counts slots spent
     frozen, play_time slots of content actually played, and waste the
-    downloaded-but-never-viewed content (rate*slot units).  The columns live
-    in one float block that grows geometrically; len() counts the sessions."""
+    downloaded-but-never-viewed content (rate*slot units).  `columns` is one
+    (fields, sessions) float block, rows in `FIELDS` order, taken as given:
+    `World.sessions` passes a view of its departed block.  len() counts the
+    sessions."""
 
     FIELDS = ("arrival_slot", "freeze_count", "freeze_time", "play_time", "waste")
 
     def __init__(self, columns=None):
         if columns is None:
             columns = np.zeros((len(self.FIELDS), 0))
-        self._block = np.asarray(columns, dtype=float)
-        self._n = self._block.shape[1]
-
-    @property
-    def columns(self) -> np.ndarray:
-        """(fields, sessions) view, rows in `FIELDS` order."""
-        return self._block[:, : self._n]
-
-    def append(self, block: np.ndarray) -> None:
-        """Append sessions given as one (fields, sessions) block, rows in
-        `FIELDS` order."""
-        k = self._n
-        m = k + block.shape[1]
-        if m > self._block.shape[1]:
-            grown = np.empty((len(self.FIELDS), max(2 * self._block.shape[1], m, 256)))
-            grown[:, :k] = self._block[:, :k]
-            self._block = grown
-        self._block[:, k:m] = block
-        self._n = m
+        self.columns = np.asarray(columns, dtype=float)
 
     def select(self, mask) -> "SessionLog":
         return SessionLog(self.columns[:, mask])
 
     def __len__(self) -> int:
-        return self._n
+        return self.columns.shape[1]
 
 
 def _sum_left_to_right(x: np.ndarray) -> float:

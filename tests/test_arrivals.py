@@ -1,6 +1,7 @@
 """Arrival-process generation, trace parsing, and scaling tests."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -131,7 +132,7 @@ class TestTraceFiles:
 
     def test_csv_rows_and_comments(self, tmp_path):
         path = tmp_path / "trace.txt"
-        path.write_text("# synthetic\n0,3\n1,1\n2,4\n")
+        path.write_text("# synthetic\n0,3\n\n1, 1  # quiet\n 0002 ,4\n")
         np.testing.assert_array_equal(load_trace(path).counts, [3, 1, 4])
 
     def test_negative_count_names_line(self, tmp_path):
@@ -144,6 +145,19 @@ class TestTraceFiles:
         path = tmp_path / "trace.txt"
         path.write_text("1\nbogus\n")
         with pytest.raises(ValueError, match="2"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("text, row", [
+        ("0,5\n7,3\n", "7,3"),        # a gap: slot 7's arrivals are not slot 1's
+        ("0,5\n1,2,3\n", "1,2,3"),    # three fields
+        ("0,5\nx,3\n", "x,3"),        # a non-integer slot
+        ("0,5\n2,x,4\n", "2,x,4"),
+    ])
+    def test_csv_row_names_line_and_expected_slot(self, tmp_path, text, row):
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        message = f"{path}:2: expected 'slot,count' with slot 1, got '{row}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_trace(path)
 
     def test_save_load_roundtrip(self, tmp_path):

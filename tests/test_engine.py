@@ -936,9 +936,9 @@ def _overloaded_counts(rho, slots=400, L=60, seed=7):
 
 
 class TestSettlement:
-    """Departures are buffered and priced in batches, yet every slot's
-    bw_wasted and every logged row carry the bits that pricing each slot's
-    departures in that slot gives, whenever settlement runs."""
+    """Departures are priced in batches, yet every slot's bw_wasted and every
+    logged row carry the bits that pricing each slot's departures in that
+    slot gives, whenever settlement runs."""
 
     CASES = list(itertools.product(["freeze", "skip"], [0.3, 1.0, 2.5], [0.5, 0.995, 1.2]))
 
@@ -954,26 +954,6 @@ class TestSettlement:
         ledgers = world.assert_settled_alike()
         assert ledgers.departures.max() >= 3 and ledgers.bw_wasted.sum() > 0
 
-    @pytest.mark.parametrize("mode", ["freeze", "skip"])
-    def test_chunk_size_changes_no_byte(self, mode):
-        # A chunk of 1 settles before every slot with a departure and grows
-        # for a slot with more; 7 settles every few slots; 4096 never
-        # settles before the end of this run.
-        model, counts = _overloaded_counts(1.2)
-        cfg = SimConfig(server_capacity=40.0, video_length=60, playback_model=mode, duration=400,
-                        warmup=0, seed=3)
-        process = arrivals.ArrivalProcess.trace(counts)
-        results = []
-        with pytest.MonkeyPatch.context() as mp:
-            for chunk in (1, 7, 4096):
-                mp.setattr(engine, "SETTLE_CHUNK", chunk)
-                result = engine.run(cfg, "eb", process, model)
-                results.append((result.ledgers.tobytes(), result.sessions.columns.tobytes(),
-                                result.report))
-                departures = result.ledgers.departures
-        assert departures.max() > 1 and 7 < departures.sum() < 4096
-        assert results[0] == results[1] == results[2]
-
     @pytest.mark.parametrize("every", [1, 13, 100])
     def test_reading_mid_run_changes_no_byte(self, every):
         model, counts = _overloaded_counts(0.995)
@@ -983,16 +963,31 @@ class TestSettlement:
         assert read.ledgers.tobytes() == unread.ledgers.tobytes()
         assert read.sessions.columns.tobytes() == unread.sessions.columns.tobytes()
 
+    def test_a_log_read_mid_run_keeps_its_bytes(self):
+        # `sessions` is a view of the departed block: later slots, the
+        # block's growth and later settlements must not write its columns.
+        model, counts = _overloaded_counts(1.2)
+        cfg = SimConfig(server_capacity=40.0, video_length=60, seed=5)
+        world = _stepped_world(World(cfg, "sc", model), counts[:100])
+        log = world.sessions
+        before, block = log.columns.copy(), world._departed
+        _stepped_world(world, counts[100:], read_every=13)
+        assert world._departed is not block and len(world.sessions) > block.shape[1]
+        assert log.columns.tobytes() == before.tobytes()
+        assert world.sessions.columns[:, : len(log)].tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("mode", ["freeze", "skip"])
-    def test_a_slot_departing_more_than_the_buffer_holds(self, mode):
+    def test_a_slot_departing_more_than_the_block_holds(self, mode):
         # 5000 sessions of a three-slot video arrive together and all leave
         # when their downloads complete, most of them with waste, in one
-        # slot: more than the buffer holds, settled with the slots before.
+        # slot: more than twice the departed block's initial columns, so it
+        # grows to hold them at once, settled with the slots before.
         cfg = SimConfig(server_capacity=1e5, video_length=3, playback_model=mode, seed=2)
         world = _PricedPerSlot(cfg, "be", behavior.DepartureModel.synthetic(L=3))
+        initial = world._departed.shape[1]
         _stepped_world(world, [1, 0, 2, 5000, 0, 0, 0])
         ledgers = world.assert_settled_alike()
-        assert ledgers.departures.max() > engine.SETTLE_CHUNK
+        assert ledgers.departures.max() > 2 * initial
         assert ledgers.departures[:3].sum() > 0 and ledgers.bw_wasted.max() > 0
 
 

@@ -13,7 +13,8 @@ not run unless named with --only; their reason is printed instead.  The exit sta
 survives, and 2 if a substitution no longer matches the sources.
 
 Each rule that a change adds or relies on gets its mutant here.  Running
-every mutant takes some minutes on one core.
+every mutant takes some minutes on one core.  `tests/test_mutants.py` checks
+that every substitution still matches the working tree exactly once.
 """
 
 from __future__ import annotations
@@ -87,9 +88,12 @@ MUTANTS = [
            'rows["bw_wasted"] = _group_sums(block[-1],',
            'rows["bw_wasted"] = _group_sums(np.sort(block[-1]),',
            ENGINE_TESTS),
-    Mutant("departure buffer grows only past twice its size", ENGINE,
-           "            if k > self._pending.shape[1]:\n",
-           "            if k > 2 * self._pending.shape[1]:\n",
+    # The departed block, which is also the session log.
+    Mutant("departed block grows to twice its size however many leave", ENGINE,
+           "max(m, 2 * self._departed.shape[1])", "2 * self._departed.shape[1]",
+           ENGINE_TESTS),
+    Mutant("priced marker reset to the block's start", ENGINE,
+           "self._priced = self._held\n", "self._priced = 0\n",
            ENGINE_TESTS),
     Mutant("repeated config key accepted", CLI,
            "            if key in out:\n", "            if False:\n",

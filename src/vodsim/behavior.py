@@ -18,13 +18,19 @@ SUM_TOL = 1e-9
 _EPS = 1e-12
 
 
+def _check_unit_range(x: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) unless every entry of x lies in [0, 1] up
+    to round-off.  The test is written so that NaN fails it."""
+    if not np.all((x >= -_EPS) & (x <= 1.0 + _EPS)):
+        raise ValueError(message)
+
+
 def _histogram(q) -> np.ndarray:
     """A validated copy of the histogram q, with round-off clipped to [0, 1]."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise ValueError("histogram needs at least one bin")
-    if np.any(q < -_EPS) or np.any(q > 1.0 + _EPS):
-        raise ValueError("bin probabilities must lie in [0, 1]")
+    _check_unit_range(q, "bin probabilities must lie in [0, 1]")
     if abs(float(q.sum()) - 1.0) > SUM_TOL:
         raise ValueError(f"bin probabilities sum to {q.sum()}, expected 1")
     return np.clip(q, 0.0, 1.0)
@@ -35,8 +41,7 @@ def _rates(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("rates need at least one slot")
-    if np.any(p < -_EPS) or np.any(p > 1.0 + _EPS):
-        raise ValueError("hazard rates must lie in [0, 1]")
+    _check_unit_range(p, "hazard rates must lie in [0, 1]")
     p = np.clip(p, 0.0, 1.0)
     # Everyone leaves by video end: p[last] = 1 unless no one can reach it.
     survivors_into_last = float(np.prod(1.0 - p[:-1])) if p.size > 1 else 1.0
@@ -84,7 +89,7 @@ def phase_boundary(p) -> int:
     p = np.asarray(p, dtype=float)
     if p.size == 0:
         raise ValueError("empty rates")
-    if np.any(p < 0):
+    if not np.all(p >= 0):  # NaN fails
         raise ValueError("hazard rates must be nonnegative")
     candidates = p[:-1]
     total = float(candidates.sum())
@@ -249,6 +254,8 @@ def load_histogram(path) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: negative bin index")
             if idx in probs:
                 raise ValueError(f"{path}:{lineno}: duplicate bin index {idx}")
+            if not np.isfinite(prob):
+                raise ValueError(f"{path}:{lineno}: probability must be finite, got {prob}")
             probs[idx] = prob
     if not probs:
         raise ValueError(f"{path}: empty histogram file")

@@ -115,6 +115,14 @@ def build_config(args) -> SimConfig:
             line = max(entries[key][1] for key in named)
             raise ValueError(f"{args.config}:{line}: {exc}") from None
         raise
+    # `--target-fraction` sets the capacity itself, so a finite one given
+    # beside it would be dropped.
+    capacity = values.get("server_capacity", math.inf)
+    if getattr(args, "target_fraction", None) is not None and not math.isinf(capacity):
+        given = (f"{args.config}:{entries['server_capacity'][1]}: server_capacity"
+                 if "server_capacity" in entries else "--capacity")
+        raise ValueError(f"{given} {capacity} conflicts with --target-fraction, which sets "
+                         "the capacity from sc's unlimited peak; give 'unlimited' or no capacity")
     return config
 
 
@@ -174,37 +182,46 @@ def _check_measured(config: SimConfig) -> None:
         )
 
 
-def _experiment_rows(args, config, model, rho_values):
-    """One (strategy, rho, report) row per requested combination."""
-    if args.trace is None:
-        if math.isinf(config.server_capacity):
-            raise ValueError(
-                "Poisson arrivals need a finite --capacity: rho is a share of it "
-                "(use --trace for an unlimited-capacity run)"
-            )
-    seeds = _repetition_seeds(config.seed, args.repetitions)
-    rows = []
-    last_result = None
-    for rho in rho_values:
-        if args.trace:
-            process = arrivals.load_trace(args.trace, scale=args.trace_scale)
-            cfg = replace(config, duration=process.length if args.duration is None else args.duration)
-        else:
-            lam = engine.poisson_arrival_rate(rho, config, model)
-            process = arrivals.ArrivalProcess.poisson(lam)
-            cfg = config
+def _cells(args, config, model, rho_values):
+    """The table's cells, each (rho, arrival process, config): one for a
+    trace, whose rho is None, at the `--target-fraction` capacity if one is
+    given; one per load for Poisson arrivals."""
+    if args.trace:
+        process = arrivals.load_trace(args.trace, scale=args.trace_scale)
+        cfg = replace(config, duration=process.length if args.duration is None else args.duration)
         _check_measured(cfg)
-        if args.trace and args.target_fraction is not None:
+        if args.target_fraction is not None:
             # Reference run: SC at unlimited capacity fixes the target peak.
             ref = engine.run(replace(cfg, server_capacity=math.inf), "sc", process, model)
             capacity = arrivals.target_bandwidth_from_peak(
                 ref.report.peak_bw, args.target_fraction
             )
             cfg = replace(cfg, server_capacity=capacity)
+        return [(None, process, cfg)]
+    if math.isinf(config.server_capacity):
+        raise ValueError(
+            "Poisson arrivals need a finite --capacity: rho is a share of it "
+            "(use --trace for an unlimited-capacity run)"
+        )
+    cells = []
+    for rho in rho_values:
+        process = arrivals.ArrivalProcess.poisson(engine.poisson_arrival_rate(rho, config, model))
+        _check_measured(config)
+        cells.append((rho, process, config))
+    return cells
+
+
+def _experiment_rows(args, config, model, rho_values):
+    """One (strategy, rho, report) row per cell, strategy and repetition,
+    and the last run's result."""
+    seeds = _repetition_seeds(config.seed, args.repetitions)
+    rows = []
+    last_result = None
+    for rho, process, cfg in _cells(args, config, model, rho_values):
         for strategy in args.strategy:
             for seed in seeds:
                 result = engine.run(replace(cfg, seed=seed), strategy, process, model)
-                rows.append((strategy, None if args.trace else rho, result.report))
+                rows.append((strategy, rho, result.report))
                 last_result = result
     return rows, last_result
 

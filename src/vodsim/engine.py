@@ -58,6 +58,15 @@ The survivors keep their relative order, and that order must stay stable:
 it is the allocators' tie order and the order of the float sums, so any
 reordering changes the output bytes.
 
+The departure rule: a session departs at the end of the first slot in which
+its playback reaches its target or its download completes, with
+`downloaded` within 1e-9 of the video length.  `step` applies it
+(`departing`), and `_waste` prices each departure as the seconds downloaded
+beyond those viewed, at least 0, times the bitrate: skip mode views the
+slots it played less the seconds it skipped, and freeze mode credits a
+session up to its target, since it would still watch its buffered tail.
+Nothing else in the engine restates the rule.
+
 Each slot's accounting is row `slot` of the slot table, a record array with
 the fields SLOT_FIELDS that grows geometrically like the slab.  Every
 field is float64, as in the slab: the counts stay exact, a row is written
@@ -72,8 +81,10 @@ alone; and the targets are drawn independently of the arrivals.  So `run`
 steps one small `World` on the run's config, holding a single session with
 target L (`_Trajectory`), and keeps that session's slab column at the end of
 each slot.  A session with target k follows it until its own departure slot
-d_k, the first in which playback reaches k or the download completes; both
-rows never decrease, so one search in each finds d_k, and the column of slot
+d_k.  The target enters the departure rule only through `playback >=
+target`, and k <= L, so d_k is the earlier of the first slot whose playback
+reaches k, one search of a row that never decreases, and the slot in which
+the target-L session itself departed, its last column.  The column of slot
 d_k with target k, priced by settlement's `_waste`, is its logged row.
 `_run_unlimited` builds the slot table and session log from these with a
 few passes over the sessions and no loop over slots.  Each session's
@@ -385,10 +396,9 @@ class World:
     def _waste(self, block: np.ndarray) -> None:
         """Overwrite the target row of `block`, departing sessions' slab rows
         skipped to target, with their waste in Mb."""
-        # Indexing three rows is cheaper than unpacking seven.
+        # Indexing three rows is cheaper than unpacking seven.  Viewed as
+        # the departure rule says (see the module docstring).
         downloaded, playback, waste = block[1], block[5], block[6]
-        # Download-complete departures get credited up to their target:
-        # the buffered tail up to the target would still be viewed.
         if self._skip_mode:
             np.subtract(playback, block[0], out=waste)  # viewed: block[0] is skipped
         else:
@@ -422,12 +432,13 @@ class _Trajectory(World):
 
     def read_off(self) -> tuple[np.ndarray, np.ndarray]:
         """d_k for each target k in 1..L, the slot in which a session with
-        target k departs (see the module docstring), or the slot count for
-        one found in neither search; and the `SessionLog` rows of the
-        targets that depart, in target order."""
+        target k departs (the departure rule and its read-off are in the
+        module docstring), or the slot count for
+        one that does not depart; and the `SessionLog` rows of the targets
+        that depart, in target order."""
         path = self.path
         d = np.minimum(np.searchsorted(path[PLAYBACK], np.arange(1, self._video_length + 1)),
-                       np.searchsorted(path[DOWNLOADED], self._complete_at))
+                       path.shape[1] - self._held)
         block = path[SKIPPED:, d[d < path.shape[1]]]
         block[-1] = np.arange(1, block.shape[1] + 1)
         self._waste(block)

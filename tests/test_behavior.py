@@ -67,10 +67,17 @@ class TestInvariantValidation:
         with pytest.raises(ValueError, match="final-slot hazard must be 1"):
             histogram_from_rates([0.2, 0.5])
 
-    @pytest.mark.parametrize("p", [[-0.1, 1.0], [0.5, 1.5], [1.2]])
+    @pytest.mark.parametrize("p", [[-0.1, 1.0], [0.5, 1.5], [1.2], [math.nan, 1.0]])
     def test_rejects_hazard_outside_unit_interval(self, p):
         with pytest.raises(ValueError, match=r"hazard rates must lie in \[0, 1\]"):
             histogram_from_rates(p)
+
+    # A range test written as `x < lo or x > hi` lets NaN through.
+    @pytest.mark.parametrize("build, q", [(DepartureModel, [0.5, 0.5, math.nan]),
+                                          (rates_from_histogram, [0.5, math.nan, 0.5])])
+    def test_rejects_a_nan_bin(self, build, q):
+        with pytest.raises(ValueError, match=r"bin probabilities must lie in \[0, 1\]"):
+            build(q)
 
     def test_clips_round_off_into_unit_interval(self):
         # ew_rates reads the model's p unchecked, so it must lie in [0, 1].
@@ -195,6 +202,10 @@ class TestBrowseSlots:
         with pytest.raises(ValueError):
             phase_boundary(np.array([]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="hazard rates must be nonnegative"):
+            phase_boundary(np.array([math.nan, 0.5, 1.0]))
+
     @given(
         st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=20),
         st.floats(min_value=1.1, max_value=50.0),
@@ -282,6 +293,13 @@ class TestHistogramFileIO:
         path = tmp_path / "hist.txt"
         path.write_text("# header\n0,0.5\n1,0.5\n")
         np.testing.assert_allclose(load_histogram(path), [0.5, 0.5])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_probability_names_its_line(self, tmp_path, value):
+        path = tmp_path / "hist.txt"
+        path.write_text(f"0,0.5\n1,0.5\n2,{value}\n")
+        with pytest.raises(ValueError, match=f"hist.txt:3: probability must be finite, got {value}"):
+            load_histogram(path)
 
     def test_invalid_mass_rejected(self, tmp_path):
         path = tmp_path / "hist.txt"

@@ -82,6 +82,26 @@ class TestRun:
         assert [r[0] for r in rows] == ["sc", "be"]
         assert all(r[1] == "" for r in rows)  # trace rows carry no rho
 
+    def test_target_fraction_takes_unlimited_or_no_capacity(self, tmp_path):
+        # `--target-fraction` sets the capacity itself; each of these leaves
+        # it to do so, and all give the same table.
+        trace = tmp_path / "trace.txt"
+        cli.main(["gen", "trace", "--slots", "1200", "--base-rate", "0.2",
+                  "--peak-rate", "1.5", "--out", str(trace)])
+        unlimited = tmp_path / "unlimited.cfg"
+        unlimited.write_text("server_capacity = unlimited\n")
+        finite = tmp_path / "finite.cfg"
+        finite.write_text("server_capacity = 500\n")
+        tables = []
+        for i, flags in enumerate([["--capacity", "unlimited"], [], ["--config", str(unlimited)],
+                                   ["--config", str(finite), "--capacity", "unlimited"]]):
+            out = tmp_path / f"out{i}.csv"
+            assert cli.main(["run", "--strategy", "sc,be", "--trace", str(trace), *flags,
+                             "--target-fraction", "0.95", "--video-length", "100",
+                             "--warmup", "200", "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert len(set(tables)) == 1 and len(_rows(out)) == 2
+
     def test_repetition_does_not_replay_next_seed(self, tmp_path):
         # Repetition 1 of seed 1 must not replay the first row of seed 2;
         # repetition 0 keeps the given seed.
@@ -246,6 +266,34 @@ class TestInputErrors:
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("capacity, text, given", [
+        ("5", None, "--capacity 5.0"),
+        ("5000", None, "--capacity 5000.0"),
+        (None, "seed = 3\nserver_capacity = 500\n", "{cfg}:2: server_capacity 500.0"),
+    ], ids=["flag 5", "flag 5000", "config file 500"])
+    def test_rejects_finite_capacity_with_target_fraction(self, tmp_path, monkeypatch, capsys,
+                                                          capacity, text, given):
+        # The fraction sets the capacity from sc's unlimited peak, so a finite
+        # capacity beside it would be dropped without a word.
+        def no_run(*args):
+            raise AssertionError("the conflict must be found before the reference run")
+
+        monkeypatch.setattr(cli.engine, "run", no_run)
+        trace = tmp_path / "day.trace"
+        trace.write_text("1\n2\n0\n3\n" * 100)
+        cfg = tmp_path / "sim.cfg"
+        flags = ["--capacity", capacity] if capacity else []
+        if text:
+            cfg.write_text(text)
+            flags += ["--config", str(cfg)]
+        code = _exit_code(["run", "--strategy", "be", "--trace", str(trace), *flags,
+                           "--video-length", "100", "--target-fraction", "0.9",
+                           "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert (f"error: {given.format(cfg=cfg)} conflicts with --target-fraction"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("capacity", ["unlimited", "100"])
     def test_zero_duration_trace_run_is_rejected(self, tmp_path, monkeypatch, capsys, capacity):
         # --duration 0 is a duration, not a request for the trace's length.
@@ -397,6 +445,21 @@ class TestConfigLayering:
         assert code == 2
         assert ("error: departure model has 50 slots but video_length is 100"
                 in capsys.readouterr().err)
+
+    def test_nan_histogram_bin_names_its_line(self, tmp_path, capsys):
+        # At unlimited capacity on a trace a NaN bin once ran and printed a
+        # row; it must stop the run at its file and line.
+        hist = tmp_path / "hist.txt"
+        hist.write_text("0,0.5\n1,0.5\n2,nan\n")
+        trace = tmp_path / "day.trace"
+        trace.write_text("1\n2\n0\n3\n" * 100)
+        code = _exit_code(["run", "--strategy", "be", "--trace", str(trace),
+                           "--capacity", "unlimited", "--video-length", "3", "--warmup", "10",
+                           "--histogram", str(hist), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert (f"error: {hist}:3: probability must be finite, got nan"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestVerify:

@@ -383,6 +383,16 @@ def _assert_wasted_is_each_slots_logged_waste(ledgers, log):
     assert ledgers.bw_wasted.tobytes() == want.tobytes()
 
 
+def _logged_waste(mode, downloaded, playback, skipped, target, bitrate=1.0):
+    """The waste a departing session logs, in Mb: the seconds it downloaded
+    beyond those it viewed, at least 0, times the bitrate.  Skip mode views
+    the slots played less the seconds skipped; freeze mode credits a session
+    up to its target, the buffered tail it would still watch.  The tests'
+    one statement of the rule, for scalars or for arrays of sessions."""
+    viewed = playback - skipped if mode == "skip" else np.maximum(playback, target)
+    return np.maximum(downloaded - viewed, 0.0) * bitrate
+
+
 def _reference_session(cfg, name, model, target):
     """One session at unlimited capacity, as a plain loop over its slots
     that shares no code with the slab.  No budget binds, so no session
@@ -426,11 +436,8 @@ def _reference_session(cfg, name, model, target):
                 freeze_count += 1
             freeze_time += state == engine.FROZEN
         if playback >= target or downloaded >= cfg.video_length - 1e-9:
-            if cfg.playback_model == "skip":
-                viewed = playback - skipped
-            else:
-                viewed = max(playback, target)
-            waste = max(downloaded - viewed, 0.0) * cfg.bitrate
+            waste = _logged_waste(cfg.playback_model, downloaded, playback, skipped, target,
+                                  cfg.bitrate)
             return rates, (freeze_count, freeze_time, playback, waste)
 
 
@@ -825,8 +832,9 @@ class TestCompaction:
         assert np.array_equal(logged[1], ref["freeze_count"])
         assert np.array_equal(logged[2], ref["freeze_time"])
         assert np.array_equal(logged[3], ref["playback"])
-        viewed = np.maximum(ref["playback"], ref["target"])
-        assert np.array_equal(logged[4], np.maximum(ref["downloaded"] - viewed, 0.0))
+        waste = _logged_waste("freeze", ref["downloaded"], ref["playback"], ref["skipped"],
+                              ref["target"])
+        assert np.array_equal(logged[4], waste)
 
     @pytest.mark.parametrize("mode", ["freeze", "skip"])
     def test_logged_fields_are_the_named_rows(self, mode):
@@ -845,11 +853,8 @@ class TestCompaction:
         assert np.array_equal(logged["freeze_count"], rows["freeze_count"][gone])
         assert np.array_equal(logged["freeze_time"], rows["freeze_time"][gone])
         assert np.array_equal(logged["play_time"], rows["playback"][gone])
-        if mode == "skip":
-            viewed = rows["playback"] - rows["skipped"]
-        else:
-            viewed = np.maximum(rows["playback"], rows["target"])
-        waste = np.maximum(rows["downloaded"] - viewed, 0.0)[gone] * bitrate
+        waste = _logged_waste(mode, rows["downloaded"], rows["playback"], rows["skipped"],
+                              rows["target"], bitrate)[gone]
         assert np.count_nonzero(waste) >= 3
         assert np.array_equal(logged["waste"], waste)
         # A stepped slot's bw_wasted, read through `ledgers`, sums the waste

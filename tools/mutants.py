@@ -68,12 +68,9 @@ MUTANTS = [
            'np.argsort(departure.astype(np.min_scalar_type(T)), kind="stable")',
            "np.argsort(departure.astype(np.min_scalar_type(T)))",
            ENGINE_TESTS),
-    Mutant("download search finds the slot after the one at the threshold", ENGINE,
-           "np.searchsorted(path[DOWNLOADED], self._complete_at)",
-           'np.searchsorted(path[DOWNLOADED], self._complete_at, side="right")',
-           ENGINE_TESTS,
-           equivalent="downloaded never equals the completion threshold "
-                      "L - 1e-9 exactly, so both sides find the same slot"),
+    Mutant("read-off ignores the trajectory's own departure", ENGINE,
+           "path.shape[1] - self._held)", "path.shape[1])",
+           ENGINE_TESTS),
     # Batched settlement and skipped slot transitions.
     Mutant("startup transition skipped with one session in startup", ENGINE,
            "            if n_startup:\n", "            if n_startup > 1:\n",
@@ -115,6 +112,15 @@ MUTANTS = [
            ("tests/test_cli.py",),
            equivalent="a value that reaches validation is a number or, for "
                       "playback_model, is not echoed, so no field name follows ', got'"),
+    Mutant("capacity conflict checks only the config file", CLI,
+           'capacity = values.get("server_capacity", math.inf)',
+           'capacity = entries.get("server_capacity", (math.inf,))[0]',
+           ("tests/test_cli.py",)),
+    # Input ranges written so that NaN fails them.
+    Mutant("NaN passes the unit range check", BEHAVIOR,
+           "if not np.all((x >= -_EPS) & (x <= 1.0 + _EPS)):",
+           "if np.any((x < -_EPS) | (x > 1.0 + _EPS)):",
+           ("tests/test_behavior.py",)),
     # The fair fill's sweep up to the first copy of the largest cap.
     Mutant("sweep stops at the last copy of the largest cap", STRATEGY,
            'm = int(pts.searchsorted(pts[-1], "left")) + 1',

@@ -182,10 +182,12 @@ def _check_measured(config: SimConfig) -> None:
         )
 
 
-def _cells(args, config, model, rho_values):
-    """The table's cells, each (rho, arrival process, config): one for a
-    trace, whose rho is None, at the `--target-fraction` capacity if one is
-    given; one per load for Poisson arrivals."""
+def _experiment_rows(args, config, model, rho_values):
+    """One (strategy, rho, report) row per cell, strategy and repetition,
+    and the last run's result.  The cells, each (rho, arrival process,
+    config), are built before any strategy runs: one for a trace, whose rho
+    is None, at the `--target-fraction` capacity if one is given; one per
+    load for Poisson arrivals."""
     if args.trace:
         process = arrivals.load_trace(args.trace, scale=args.trace_scale)
         cfg = replace(config, duration=process.length if args.duration is None else args.duration)
@@ -197,27 +199,22 @@ def _cells(args, config, model, rho_values):
                 ref.report.peak_bw, args.target_fraction
             )
             cfg = replace(cfg, server_capacity=capacity)
-        return [(None, process, cfg)]
-    if math.isinf(config.server_capacity):
-        raise ValueError(
-            "Poisson arrivals need a finite --capacity: rho is a share of it "
-            "(use --trace for an unlimited-capacity run)"
-        )
-    cells = []
-    for rho in rho_values:
-        process = arrivals.ArrivalProcess.poisson(engine.poisson_arrival_rate(rho, config, model))
-        _check_measured(config)
-        cells.append((rho, process, config))
-    return cells
-
-
-def _experiment_rows(args, config, model, rho_values):
-    """One (strategy, rho, report) row per cell, strategy and repetition,
-    and the last run's result."""
+        cells = [(None, process, cfg)]
+    else:
+        if math.isinf(config.server_capacity):
+            raise ValueError(
+                "Poisson arrivals need a finite --capacity: rho is a share of it "
+                "(use --trace for an unlimited-capacity run)"
+            )
+        cells = []
+        for rho in rho_values:
+            lam = engine.poisson_arrival_rate(rho, config, model)
+            _check_measured(config)
+            cells.append((rho, arrivals.ArrivalProcess.poisson(lam), config))
     seeds = _repetition_seeds(config.seed, args.repetitions)
     rows = []
     last_result = None
-    for rho, process, cfg in _cells(args, config, model, rho_values):
+    for rho, process, cfg in cells:
         for strategy in args.strategy:
             for seed in seeds:
                 result = engine.run(replace(cfg, seed=seed), strategy, process, model)

@@ -1,4 +1,6 @@
-"""Small-instance oracles for the steady-state claims.
+"""Small-instance oracles for the steady-state claims, and one driver per
+claim, shared by `vodsim verify` and the acceptance gate, that counts its
+oracle's failures on random instances.
 
 Everything here is deliberately dumb: grid enumeration rather than convex
 solvers, so the oracles stay independent of the allocation code they check.
@@ -162,8 +164,80 @@ def lagrange_condition_check(
     return True
 
 
+# The drivers' buffer grid (seconds), and the buffers on which a random
+# skip-probability function must be convex and nonincreasing.
+GRID = 0.25
+_SHAPE_GRID = np.linspace(0.0, 10.0, 81)
+
+
+def random_convex_fn(rng: np.random.Generator) -> SkipProbFn:
+    """A random skip-probability function, with probability 1/2 each
+    g0 * exp(-decay * b) or the power law g0 / (1 + b)^k."""
+    if rng.random() < 0.5:
+        return SkipProbFn.exponential(
+            g0=float(rng.uniform(0.3, 1.0)), decay=float(rng.uniform(0.3, 2.0))
+        )
+    g0 = float(rng.uniform(0.3, 1.0))
+    k = float(rng.uniform(1.0, 3.0))
+    return SkipProbFn(lambda b: g0 / (1.0 + b) ** k)
+
+
+def equal_buffer_failures(rng: np.random.Generator, cases: int) -> int:
+    """Equal buffers minimize skip probability (Lemma 2 analog): of `cases`
+    random instances, the number whose g is misshapen or whose minimizing
+    split has buffers more than one grid step apart."""
+    failures = 0
+    for _ in range(cases):
+        n = int(rng.integers(2, 5))
+        g = random_convex_fn(rng)
+        S = GRID * int(rng.integers(n, 33))
+        buffers, _ = brute_force_min_skip(n, S, g, GRID)
+        if not g.check_shape(_SHAPE_GRID) or buffers.max() - buffers.min() > GRID + 1e-9:
+            failures += 1
+    return failures
+
+
+def equal_waste_failures(rng: np.random.Generator, cases: int) -> int:
+    """Equal waste rates minimize the worst waste (Prop. 3 analog): of
+    `cases` random instances, the number whose min-max split has waste rates
+    f_i * b_i more than one grid step times max f apart."""
+    failures = 0
+    for _ in range(cases):
+        n = int(rng.integers(2, 5))
+        f = rng.uniform(0.3, 1.0, size=n)
+        S = GRID * int(rng.integers(8 * n, 33))
+        buffers, _ = brute_force_min_waste(f, S, GRID)
+        rates = f * buffers
+        if rates.max() - rates.min() > GRID * f.max() + 1e-9:
+            failures += 1
+    return failures
+
+
+def lagrange_failures(rng: np.random.Generator, cases: int) -> int:
+    """Constrained minimizers meet the derivative-ratio condition (Prop. 4
+    analog): of `cases` random instances, the number whose minimizer fails
+    `lagrange_condition_check` (an indeterminate verdict is no failure).
+    The grid minimizer meets it only up to grid error, which alone fails
+    about 4 cases in 10 000."""
+    failures = 0
+    for _ in range(cases):
+        n = int(rng.integers(2, 4))
+        f = rng.uniform(0.4, 1.0, size=n)
+        g = SkipProbFn.exponential(g0=1.0, decay=float(rng.uniform(0.4, 1.2)))
+        beta = GRID * rng.integers(4, 13, size=n)
+        buffers, _ = constrained_min_skip(f, float(f @ beta), g, GRID, b_max=6.0)
+        ratios = np.linspace(0.1, 0.9, n)
+        lookup = dict(zip(ratios, f))
+        verdict = lagrange_condition_check(
+            buffers, ratios, lambda v: lookup[v], g, tolerance=10 * GRID, h=GRID / 10
+        )
+        if verdict is False:
+            failures += 1
+    return failures
+
+
 def steady_state_stats(ledgers, window_start: int):
-    """Measured (W, N, gamma, mean bw_used) over the slot table from window_start on.
+    """Measured (W, N, gamma) over the slot table from window_start on.
 
     W is mean wasted bandwidth per slot, N the mean number of playback
     attempts, gamma the fraction of attempted slots that were skipped.
@@ -175,5 +249,4 @@ def steady_state_stats(ledgers, window_start: int):
     N = float(window["playing"].mean())
     attempts = window["playing"].sum()
     gamma = 1.0 - float(window["consumed"].sum() / attempts) if attempts > 0 else 0.0
-    used = float(window["bw_used"].mean())
-    return W, N, gamma, used
+    return W, N, gamma

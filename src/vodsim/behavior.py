@@ -256,13 +256,18 @@ def load_histogram(path) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: duplicate bin index {idx}")
             if not np.isfinite(prob):
                 raise ValueError(f"{path}:{lineno}: probability must be finite, got {prob}")
+            if not -_EPS <= prob <= 1.0 + _EPS:  # `_check_unit_range`'s tolerance
+                raise ValueError(f"{path}:{lineno}: probability must lie in [0, 1], got {prob}")
             probs[idx] = prob
     if not probs:
         raise ValueError(f"{path}: empty histogram file")
     q = np.zeros(max(probs) + 1)
     for idx, prob in probs.items():
         q[idx] = prob
-    return _histogram(q)
+    try:
+        return _histogram(q)
+    except ValueError as exc:  # the rows are in range, so their sum is off
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_histogram(q: np.ndarray, path) -> None:

@@ -47,6 +47,13 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    """A file path.  An empty one is an error, not the flag's absence."""
+    if text == "":
+        raise argparse.ArgumentTypeError("needs a file path, got ''")
+    return text
+
+
 def load_config_file(path) -> dict:
     """Flat key = value document mirroring SimConfig field names, each key
     set once.  Maps each key to its value, converted to its field's type,
@@ -89,7 +96,7 @@ def build_config(args) -> SimConfig:
     """Flags override config-file keys override defaults.  A config-file
     value that fails validation is reported with its file and line; when
     the message names two fields the file set, with the later line."""
-    entries = load_config_file(args.config) if getattr(args, "config", None) else {}
+    entries = load_config_file(args.config) if args.config is not None else {}
     values = {key: value for key, (value, _) in entries.items()}
     flag_map = {
         "seed": args.seed,
@@ -146,7 +153,7 @@ def _positive_rhos(arg: str) -> list[float]:
 
 
 def _build_model(args, config: SimConfig) -> behavior.DepartureModel:
-    if getattr(args, "histogram", None):
+    if args.histogram is not None:
         return behavior.DepartureModel(behavior.load_histogram(args.histogram))
     return behavior.DepartureModel.synthetic(L=config.video_length)
 
@@ -158,7 +165,7 @@ def _write_rows(rows, fmt: str, out_path):
         lines = [metrics.CSV_HEADER]
         lines += [metrics.csv_row(strategy, rho, rep) for strategy, rho, rep in rows]
         text = "\n".join(lines) + "\n"
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
@@ -188,7 +195,7 @@ def _experiment_rows(args, config, model, rho_values):
     config), are built before any strategy runs: one for a trace, whose rho
     is None, at the `--target-fraction` capacity if one is given; one per
     load for Poisson arrivals."""
-    if args.trace:
+    if args.trace is not None:
         process = arrivals.load_trace(args.trace, scale=args.trace_scale)
         cfg = replace(config, duration=process.length if args.duration is None else args.duration)
         _check_measured(cfg)
@@ -230,7 +237,7 @@ def cmd_run(args) -> int:
     model = _build_model(args, config)
     rows, last = _experiment_rows(args, config, model, [args.rho])
     _write_rows(rows, args.format, args.out)
-    if args.ledger_out and last is not None:
+    if args.ledger_out is not None and last is not None:
         engine.export_ledgers(last.ledgers, args.ledger_out)
     return 0
 
@@ -257,14 +264,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
     failures = 0
 
-    def report(name: str, ok: bool, detail: str = "") -> None:
+    def report(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        suffix = f"  ({detail})" if detail else ""
-        print(f"{status}  {name}{suffix}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
         failures += 0 if ok else 1
 
     # Wastage identity (Lemma 1 analog): skip-mode heavy-load run.
@@ -283,54 +287,21 @@ def cmd_verify(args) -> int:
         0.93, cfg.server_capacity, cfg.video_length, cfg.bitrate, model.mean_viewing_ratio
     )
     result = engine.run(cfg, "be", arrivals.ArrivalProcess.poisson(lam), model)
-    W, N, gamma, _ = analysis.steady_state_stats(result.ledgers, cfg.warmup_slots)
+    W, N, gamma = analysis.steady_state_stats(result.ledgers, cfg.warmup_slots)
     predicted = analysis.wastage_identity(cfg.server_capacity, N, gamma)
     rel = abs(W - predicted) / cfg.server_capacity
     report("wastage identity W = C - N + N*gamma", rel <= 0.02, f"relative error {rel:.4f}")
 
-    # Equal-buffer minimizes skip probability (Lemma 2 analog).
-    grid = 0.25
-    ok = True
-    for _ in range(args.cases):
-        n = int(rng.integers(2, 5))
-        decay = float(rng.uniform(0.3, 2.0))
-        g = analysis.SkipProbFn.exponential(g0=float(rng.uniform(0.3, 1.0)), decay=decay)
-        S = grid * int(rng.integers(n, 33))
-        buffers, _ = analysis.brute_force_min_skip(n, S, g, grid)
-        if buffers.max() - buffers.min() > grid + 1e-9:
-            ok = False
-    report("equal-buffer split minimizes skip probability", ok)
-
-    # Equal waste-rate characterization (Prop. 3 analog).
-    ok = True
-    for _ in range(args.cases):
-        n = int(rng.integers(2, 5))
-        f = rng.uniform(0.3, 1.0, size=n)
-        S = grid * int(rng.integers(8 * n, 33))
-        buffers, _ = analysis.brute_force_min_waste(f, S, grid)
-        rates = f * buffers
-        if rates.max() - rates.min() > grid * f.max() + 1e-9:
-            ok = False
-    report("min-max waste split equalizes waste rates", ok)
-
-    # Lagrange optimality condition (Prop. 4 analog).
-    ok = True
-    for _ in range(args.cases):
-        n = int(rng.integers(2, 4))
-        f_vals = rng.uniform(0.4, 1.0, size=n)
-        decay = float(rng.uniform(0.4, 1.2))
-        g = analysis.SkipProbFn.exponential(g0=1.0, decay=decay)
-        beta = grid * rng.integers(4, 13, size=n)
-        W = float(f_vals @ beta)
-        buffers, _ = analysis.constrained_min_skip(f_vals, W, g, grid, b_max=6.0)
-        v = np.linspace(0.1, 0.9, n)
-        fv = dict(zip(v, f_vals))
-        verdict = analysis.lagrange_condition_check(
-            buffers, v, lambda x: fv[x], g, tolerance=10 * grid, h=grid / 10
-        )
-        if verdict is False:
-            ok = False
-    report("constrained minimizers satisfy the derivative-ratio condition", ok)
+    # The analytical claims, each checked by its driver on one stream.
+    rng = np.random.default_rng(args.seed)
+    for name, driver in [
+        ("equal-buffer split minimizes skip probability", analysis.equal_buffer_failures),
+        ("min-max waste split equalizes waste rates", analysis.equal_waste_failures),
+        ("constrained minimizers satisfy the derivative-ratio condition",
+         analysis.lagrange_failures),
+    ]:
+        k = driver(rng, args.cases)
+        report(name, k == 0, f"failures {k} of {args.cases}")
 
     return 1 if failures else 0
 
@@ -348,24 +319,24 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=_nonnegative_int, default=None)
         p.add_argument("--capacity", type=_parse_capacity, default=None,
                        help="server capacity in Mb/s, or 'unlimited'")
-        p.add_argument("--histogram", default=None, help="departure histogram file")
+        p.add_argument("--histogram", type=_path, default=None, help="departure histogram file")
         p.add_argument("--duration", type=int, default=None)
         p.add_argument("--warmup", type=int, default=None)
         p.add_argument("--bitrate", type=float, default=None)
         p.add_argument("--video-length", dest="video_length", type=int, default=None)
-        p.add_argument("--config", default=None, help="key = value config file")
+        p.add_argument("--config", type=_path, default=None, help="key = value config file")
         p.add_argument("--repetitions", type=_positive_int, default=1)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", type=_path, default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_run = sub.add_parser("run", help="run one experiment per strategy")
     add_common(p_run)
     p_run.add_argument("--rho", type=float, default=0.995)
-    p_run.add_argument("--trace", default=None, help="arrival trace file")
+    p_run.add_argument("--trace", type=_path, default=None, help="arrival trace file")
     p_run.add_argument("--trace-scale", type=float, default=1.0)
     p_run.add_argument("--target-fraction", type=_positive_finite, default=None,
                        help="cap capacity at this fraction of SC's unlimited peak (trace mode)")
-    p_run.add_argument("--ledger-out", default=None,
+    p_run.add_argument("--ledger-out", type=_path, default=None,
                        help="write the last run's per-slot ledger table here")
     p_run.set_defaults(func=cmd_run)
 
@@ -378,7 +349,7 @@ def main(argv=None) -> int:
 
     p_gen = sub.add_parser("gen", help="generate synthetic inputs")
     p_gen.add_argument("kind", choices=("trace", "histogram"))
-    p_gen.add_argument("--out", required=True)
+    p_gen.add_argument("--out", type=_path, required=True)
     p_gen.add_argument("--seed", type=_nonnegative_int, default=12345)
     p_gen.add_argument("--slots", type=int, default=86400)
     p_gen.add_argument("--base-rate", type=float, default=0.3)

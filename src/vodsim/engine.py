@@ -482,7 +482,7 @@ class RunResult:
     config: SimConfig
     report: MetricsReport
     ledgers: np.recarray = field(repr=False)
-    sessions: SessionLog = field(repr=False, default_factory=SessionLog)
+    sessions: SessionLog = field(repr=False)
 
 
 def run(

@@ -24,9 +24,7 @@ class SessionLog:
 
     FIELDS = ("arrival_slot", "freeze_count", "freeze_time", "play_time", "waste")
 
-    def __init__(self, columns=None):
-        if columns is None:
-            columns = np.zeros((len(self.FIELDS), 0))
+    def __init__(self, columns):
         self.columns = np.asarray(columns, dtype=float)
 
     def select(self, mask) -> "SessionLog":

@@ -148,7 +148,7 @@ def test_criterion_5_wastage_identity():
     result = engine.run(config, "be", arrivals.ArrivalProcess.poisson(lam), model)
     window = config.duration - config.warmup_slots
     assert window >= 2 * config.video_length
-    W, N, gamma, _ = analysis.steady_state_stats(result.ledgers, config.warmup_slots)
+    W, N, gamma = analysis.steady_state_stats(result.ledgers, config.warmup_slots)
     predicted = analysis.wastage_identity(config.server_capacity, N, gamma)
     rel = abs(W - predicted) / config.server_capacity
     ok = rel <= 0.02
@@ -156,31 +156,8 @@ def test_criterion_5_wastage_identity():
     assert ok
 
 
-def _random_convex_fn(rng):
-    """Random convex nonincreasing skip-probability function."""
-    if rng.random() < 0.5:
-        fn = analysis.SkipProbFn.exponential(
-            g0=float(rng.uniform(0.3, 1.0)), decay=float(rng.uniform(0.3, 2.0))
-        )
-    else:
-        g0 = float(rng.uniform(0.3, 1.0))
-        k = float(rng.uniform(1.0, 3.0))
-        fn = analysis.SkipProbFn(lambda b, g0=g0, k=k: g0 / (1.0 + b) ** k)
-    assert fn.check_shape(np.linspace(0.0, 10.0, 81))
-    return fn
-
-
 def test_criterion_6_equal_buffer_minimizes_skip():
-    rng = np.random.default_rng(2024)
-    grid = 0.25
-    failures = 0
-    for _ in range(50):
-        n = int(rng.integers(2, 5))
-        g = _random_convex_fn(rng)
-        S = grid * int(rng.integers(n, int(8 / grid) + 1))
-        buffers, _ = analysis.brute_force_min_skip(n, S, g, grid)
-        if buffers.max() - buffers.min() > grid + 1e-9:
-            failures += 1
+    failures = analysis.equal_buffer_failures(np.random.default_rng(2024), 50)
     ok = failures == 0
     _report(6, "min-skip oracle: equal buffers within one grid step, 50/50 cases",
             ok, f"failures {failures}")
@@ -189,30 +166,7 @@ def test_criterion_6_equal_buffer_minimizes_skip():
 
 def test_criterion_7_waste_and_lagrange_oracles():
     rng = np.random.default_rng(4096)
-    grid = 0.25
-    failures = 0
-    for _ in range(50):
-        n = int(rng.integers(2, 5))
-        f = rng.uniform(0.3, 1.0, size=n)
-        S = grid * int(rng.integers(8 * n, 33))
-        buffers, _ = analysis.brute_force_min_waste(f, S, grid)
-        rates = f * buffers
-        if rates.max() - rates.min() > grid * f.max() + 1e-9:
-            failures += 1
-    for _ in range(50):
-        n = int(rng.integers(2, 4))
-        f_vals = rng.uniform(0.4, 1.0, size=n)
-        g = analysis.SkipProbFn.exponential(g0=1.0, decay=float(rng.uniform(0.4, 1.2)))
-        beta = grid * rng.integers(4, 13, size=n)
-        W = float(f_vals @ beta)
-        buffers, _ = analysis.constrained_min_skip(f_vals, W, g, grid, b_max=6.0)
-        ratios = np.linspace(0.1, 0.9, n)
-        lookup = dict(zip(ratios, f_vals))
-        verdict = analysis.lagrange_condition_check(
-            buffers, ratios, lambda v: lookup[v], g, tolerance=10 * grid, h=grid / 10
-        )
-        if verdict is False:
-            failures += 1
+    failures = analysis.equal_waste_failures(rng, 50) + analysis.lagrange_failures(rng, 50)
     ok = failures == 0
     _report(7, "min-waste equalization and Lagrange ratio condition, 100 cases",
             ok, f"failures {failures}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vodsim import analysis
 from vodsim.analysis import (
     SkipProbFn,
     brute_force_min_skip,
@@ -131,3 +132,75 @@ class TestConstrainedMinSkip:
     def test_infeasible_constraint_rejected(self):
         with pytest.raises(ValueError):
             constrained_min_skip([0.5, 0.5], 100.0, lambda b: math.exp(-b), 0.5, b_max=2.0)
+
+
+# The draws of one case of the loop each claim driver replaced, without
+# its oracle, in the order that loop drew them.
+def _skip_case_draws(rng):
+    n = rng.integers(2, 5)
+    if rng.random() < 0.5:
+        rng.uniform(0.3, 1.0), rng.uniform(0.3, 2.0)
+    else:
+        rng.uniform(0.3, 1.0), rng.uniform(1.0, 3.0)
+    rng.integers(n, 33)
+
+
+def _waste_case_draws(rng):
+    n = rng.integers(2, 5)
+    rng.uniform(0.3, 1.0, size=n)
+    rng.integers(8 * n, 33)
+
+
+def _lagrange_case_draws(rng):
+    n = rng.integers(2, 4)
+    rng.uniform(0.4, 1.0, size=n)
+    rng.uniform(0.4, 1.2)
+    rng.integers(4, 13, size=n)
+
+
+def _one_sided(N, S, *_):
+    return np.r_[S, np.zeros(N - 1)], 0.0
+
+
+class TestClaimDrivers:
+    STREAMS = [
+        (analysis.equal_buffer_failures, _skip_case_draws),
+        (analysis.equal_waste_failures, _waste_case_draws),
+        (analysis.lagrange_failures, _lagrange_case_draws),
+    ]
+    WRONG_SPLITS = [
+        (analysis.equal_buffer_failures, "brute_force_min_skip", _one_sided),
+        (analysis.equal_waste_failures, "brute_force_min_waste",
+         lambda f, S, grid: _one_sided(len(f), S)),
+        # Buffers 0 and b_max: g'(0) / g'(6) = exp(6 * decay) >= 11, while
+        # the hazard ratio is at most 2.5 and the tolerance 2.5.
+        (analysis.lagrange_failures, "constrained_min_skip",
+         lambda f, W, g, grid, b_max: (np.r_[0.0, np.full(len(f) - 1, b_max)], 0.0)),
+    ]
+    IDS = ["equal-buffer", "equal-waste", "lagrange"]
+
+    @pytest.mark.parametrize("driver, case_draws", STREAMS, ids=IDS)
+    @pytest.mark.parametrize("seed", [0, 2024, 4096])
+    def test_draws_the_replaced_loops_stream(self, driver, case_draws, seed):
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        driver(rng, 12)
+        for _ in range(12):
+            case_draws(replay)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("driver, oracle, wrong", WRONG_SPLITS, ids=IDS)
+    def test_counts_every_wrong_split(self, monkeypatch, driver, oracle, wrong):
+        monkeypatch.setattr(analysis, oracle, wrong)
+        assert driver(np.random.default_rng(1), 9) == 9
+
+    def test_counts_every_misshapen_function(self, monkeypatch):
+        # Convex and decreasing on the budgets' [0, 8] s, so the buffers are
+        # equal, but rising past 9 s.
+        rising = SkipProbFn(lambda b: (b - 9.0) ** 2 / 81.0)
+        monkeypatch.setattr(analysis, "random_convex_fn", lambda rng: rising)
+        assert analysis.equal_buffer_failures(np.random.default_rng(1), 9) == 9
+
+    def test_random_functions_are_convex_and_nonincreasing(self):
+        rng = np.random.default_rng(5)
+        assert all(analysis.random_convex_fn(rng).check_shape(np.linspace(0.0, 10.0, 81))
+                   for _ in range(200))

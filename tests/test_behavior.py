@@ -304,5 +304,22 @@ class TestHistogramFileIO:
     def test_invalid_mass_rejected(self, tmp_path):
         path = tmp_path / "hist.txt"
         path.write_text("0,0.9\n1,0.9\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"hist.txt: bin probabilities sum to 1.8, expected 1$"):
             load_histogram(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,1.5\n1,-0.5\n", r"hist.txt:1: probability must lie in \[0, 1\], got 1.5"),
+        ("0,0.5\n1,-0.5\n2,1.0\n", r"hist.txt:2: probability must lie in \[0, 1\], got -0.5"),
+        ("0,-1e-11\n1,1.0\n", r"hist.txt:1: probability must lie in \[0, 1\], got -1e-11"),
+    ], ids=["above 1", "below 0", "past round-off"])
+    def test_out_of_range_probability_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "hist.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_histogram(path)
+
+    def test_round_off_outside_the_unit_range_still_loads(self, tmp_path):
+        # Each row is checked with the tolerance the whole histogram is.
+        path = tmp_path / "hist.txt"
+        path.write_text("0,-1e-13\n1,1.0000000000001\n")
+        np.testing.assert_array_equal(load_histogram(path), [0.0, 1.0])

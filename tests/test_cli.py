@@ -335,6 +335,38 @@ class TestInputErrors:
         assert f"argument --cases: must be a positive integer, got {value}" in err.err
         assert "PASS" not in err.out
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--target-fraction", "0.9", "--trace", ""],
+        ["run", "--histogram", ""],
+        ["sweep", "--rho", "0.9", "--histogram", ""],
+        ["run", "--config", ""],
+        ["run", "--out", ""],
+        ["sweep", "--rho", "0.9", "--out", ""],
+        ["run", "--ledger-out", ""],
+    ], ids=["trace", "histogram", "sweep-histogram", "config", "out", "sweep-out",
+            "ledger-out"])
+    def test_rejects_an_empty_path_before_any_run(self, tmp_path, monkeypatch, capsys, argv):
+        # An empty path was once read as no path, so that `--trace ""` ran
+        # Poisson arrivals and dropped the target fraction.
+        def no_run(*args):
+            raise AssertionError("an empty path must be rejected before any run")
+
+        monkeypatch.setattr(cli.engine, "run", no_run)
+        monkeypatch.chdir(tmp_path)
+        flag = argv[-2]
+        out = [] if flag == "--out" else ["--out", "x.csv"]
+        code = _exit_code([*argv, "--strategy", "be", "--video-length", "50",
+                           "--duration", "300", "--warmup", "100", *out])
+        assert code == 2
+        assert f"error: argument {flag}: needs a file path, got ''" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_rejects_an_empty_out_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert _exit_code(["gen", "trace", "--slots", "100", "--out", ""]) == 2
+        assert "error: argument --out: needs a file path, got ''" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_target_fraction_without_trace(self, tmp_path, capsys):
         code = cli.main(["run", "--strategy", "be", "--target-fraction", "0.9",
                          *SMALL, "--out", str(tmp_path / "x.csv")])
@@ -461,6 +493,21 @@ class TestConfigLayering:
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("text, where, message", [
+        ("0,1.5\n1,-0.5\n", ":1", "probability must lie in [0, 1], got 1.5"),
+        ("0,0.5\n1,-0.5\n2,1.0\n", ":2", "probability must lie in [0, 1], got -0.5"),
+        ("0,0.5\n1,0.7\n2,0.0\n", "", "bin probabilities sum to 1.2, expected 1"),
+    ], ids=["above 1", "below 0", "sum"])
+    def test_bad_histogram_probability_names_its_place(self, tmp_path, capsys, text, where,
+                                                       message):
+        hist = tmp_path / "hist.txt"
+        hist.write_text(text)
+        code = _exit_code(["run", "--strategy", "be", "--rho", "0.9", *SMALL,
+                           "--histogram", str(hist), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {hist}{where}: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestVerify:
     def test_all_oracles_pass(self, capsys):
@@ -469,6 +516,14 @@ class TestVerify:
         lines = [l for l in output.strip().splitlines() if l]
         assert len(lines) == 4
         assert all(l.startswith("PASS") for l in lines)
+        assert all(l.endswith("(failures 0 of 5)") for l in lines[1:])
+
+    def test_a_failing_claim_fails_its_line_and_the_exit_status(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.analysis, "equal_waste_failures", lambda rng, cases: 2)
+        assert cli.main(["verify", "--cases", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "FAIL  min-max waste split equalizes waste rates  (failures 2 of 3)"
+        assert [l[:4] for l in lines] == ["PASS", "PASS", "FAIL", "PASS"]
 
 
 class TestModuleEntryPoint:

@@ -35,6 +35,7 @@ ENGINE = "src/vodsim/engine.py"
 STRATEGY = "src/vodsim/strategy.py"
 BEHAVIOR = "src/vodsim/behavior.py"
 CLI = "src/vodsim/cli.py"
+ANALYSIS = "src/vodsim/analysis.py"
 ENGINE_TESTS = ("tests/test_engine.py", "tests/test_golden.py")
 
 
@@ -116,6 +117,27 @@ MUTANTS = [
            'capacity = values.get("server_capacity", math.inf)',
            'capacity = entries.get("server_capacity", (math.inf,))[0]',
            ("tests/test_cli.py",)),
+    # Path flags, and a histogram file's rows.
+    Mutant("empty path flag taken as given", CLI,
+           '    if text == "":\n', "    if False:\n",
+           ("tests/test_cli.py",)),
+    Mutant("histogram rows not range-checked", BEHAVIOR,
+           "            if not -_EPS <= prob <= 1.0 + _EPS:", "            if False:",
+           ("tests/test_behavior.py",)),
+    # The claim drivers' failure tests, shared by `vodsim verify` and the gate.
+    Mutant("equal-buffer spread taken the wrong way round", ANALYSIS,
+           "buffers.max() - buffers.min() > GRID + 1e-9",
+           "buffers.min() - buffers.max() > GRID + 1e-9",
+           ("tests/test_analysis.py",)),
+    Mutant("misshapen skip function not counted", ANALYSIS,
+           "if not g.check_shape(_SHAPE_GRID) or ", "if ",
+           ("tests/test_analysis.py",)),
+    Mutant("waste-rate spread taken the wrong way round", ANALYSIS,
+           "rates.max() - rates.min() > GRID", "rates.min() - rates.max() > GRID",
+           ("tests/test_analysis.py",)),
+    Mutant("indeterminate Lagrange verdict counted in place of a false one", ANALYSIS,
+           "        if verdict is False:\n", "        if verdict is None:\n",
+           ("tests/test_analysis.py",)),
     # Input ranges written so that NaN fails them.
     Mutant("NaN passes the unit range check", BEHAVIOR,
            "if not np.all((x >= -_EPS) & (x <= 1.0 + _EPS)):",
